@@ -25,7 +25,7 @@ using namespace pert;
 
 exp::DumbbellConfig base(bool full) {
   exp::DumbbellConfig cfg;
-  cfg.scheme = exp::Scheme::kPert;
+  cfg.scheme = exp::parse_scheme_spec("pert");
   cfg.bottleneck_bps = full ? 150e6 : 50e6;
   cfg.rtt = 0.060;
   cfg.num_fwd_flows = 20;

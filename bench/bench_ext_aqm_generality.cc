@@ -97,11 +97,11 @@ int main(int argc, char** argv) {
                      r->error.c_str());
         rc = 1;
       }
-      t.row({exp::to_string(s), "-", "-", "-", "-", "-", "-", "-"});
+      t.row({s.display, "-", "-", "-", "-", "-", "-", "-"});
       continue;
     }
     const exp::WindowMetrics& m = r->metrics;
-    t.row({exp::to_string(s), s.router_aqm() ? "router" : "end-host",
+    t.row({s.display, s.router_aqm() ? "router" : "end-host",
            exp::fmt(m.avg_queue_pkts, "%.1f"), exp::fmt(m.drop_rate, "%.2e"),
            std::to_string(m.ecn_marks), exp::fmt(100 * m.utilization, "%.1f"),
            exp::fmt(m.jain, "%.3f"), std::to_string(m.early_responses)});

@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
     spec.xs = {1e6, 5e6, 25e6, 100e6, 250e6};
   for (double bw : spec.xs)
     spec.x_labels.push_back(exp::fmt(bw / 1e6, "%g Mbps"));
-  spec.schemes = {exp::Scheme::kPert, exp::Scheme::kSackDroptail,
-                  exp::Scheme::kSackRedEcn, exp::Scheme::kVegas};
+  spec.schemes = exp::parse_scheme_list("pert,sack,sack-red,vegas");
   spec.config = [&](double bw, const exp::SchemeSpec& s) {
     exp::DumbbellConfig cfg;
     cfg.scheme = s;

@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
                 ? std::vector<double>{0.010, 0.030, 0.060, 0.100, 0.300, 1.0}
                 : std::vector<double>{0.010, 0.030, 0.060, 0.100, 0.300};
   for (double r : spec.xs) spec.x_labels.push_back(exp::fmt(r * 1e3, "%g ms"));
-  spec.schemes = {exp::Scheme::kPert, exp::Scheme::kSackDroptail,
-                  exp::Scheme::kSackRedEcn, exp::Scheme::kVegas};
+  spec.schemes = exp::parse_scheme_list("pert,sack,sack-red,vegas");
   const double bw = opt.full ? 150e6 : 100e6;
   spec.config = [&](double rtt, const exp::SchemeSpec& s) {
     exp::DumbbellConfig cfg;

@@ -21,12 +21,8 @@ int main(int argc, char** argv) {
             : opt.full ? std::vector<double>{1, 10, 50, 100, 400, 1000}
                        : std::vector<double>{1, 10, 50, 100, 400};
   for (double n : spec.xs) spec.x_labels.push_back(exp::fmt(n, "%g"));
-  spec.schemes = opt.schemes_or(
-      opt.smoke ? std::vector<exp::SchemeSpec>{exp::Scheme::kPert,
-                                               exp::Scheme::kSackDroptail}
-                : std::vector<exp::SchemeSpec>{
-                      exp::Scheme::kPert, exp::Scheme::kSackDroptail,
-                      exp::Scheme::kSackRedEcn, exp::Scheme::kVegas});
+  spec.schemes =
+      opt.schemes_or(opt.smoke ? "pert,sack" : "pert,sack,sack-red,vegas");
   const double bw = opt.smoke ? 20e6 : opt.full ? 500e6 : 250e6;
   spec.config = [&](double n, const exp::SchemeSpec& s) {
     exp::DumbbellConfig cfg;

@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   spec.xs = opt.full ? std::vector<double>{10, 50, 100, 400, 1000}
                      : std::vector<double>{10, 50, 100, 250};
   for (double n : spec.xs) spec.x_labels.push_back(exp::fmt(n, "%g"));
-  spec.schemes = {exp::Scheme::kPert, exp::Scheme::kSackDroptail,
-                  exp::Scheme::kSackRedEcn, exp::Scheme::kVegas};
+  spec.schemes = exp::parse_scheme_list("pert,sack,sack-red,vegas");
   const double bw = opt.full ? 150e6 : 100e6;
   spec.config = [&](double n, const exp::SchemeSpec& s) {
     exp::DumbbellConfig cfg;

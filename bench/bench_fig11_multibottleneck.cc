@@ -23,9 +23,8 @@ int main(int argc, char** argv) {
              "PERT: low queue + zero drops on all hops, util ~ RED-ECN, "
              "fairness maintained");
 
-  const std::vector<exp::Scheme> schemes = {
-      exp::Scheme::kPert, exp::Scheme::kSackDroptail, exp::Scheme::kSackRedEcn,
-      exp::Scheme::kVegas};
+  const std::vector<exp::SchemeSpec> schemes =
+      exp::parse_scheme_list("pert,sack,sack-red,vegas");
 
   // Per-hop results come back through a side channel: each job writes only
   // its own pre-sized slot, so no synchronization is needed beyond join.
@@ -47,10 +46,9 @@ int main(int argc, char** argv) {
     const double measure = opt.smoke ? 10.0 : opt.full ? 200.0 : 40.0;
 
     runner::Job job;
-    job.key = std::string("fig11_multibottleneck/") +
-              std::string(exp::to_string(schemes[j]));
+    job.key = "fig11_multibottleneck/" + schemes[j].display;
     job.seed = runner::derive_seed(11, job.key);
-    job.tags = {{"scheme", std::string(exp::to_string(schemes[j]))}};
+    job.tags = {{"scheme", schemes[j].display}};
     cfg.seed = job.seed;
     job.run = [cfg, warmup, measure, &slot = hops[j]](const runner::Job&) {
       exp::MultiBottleneck mb(cfg);
@@ -78,7 +76,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t j = 0; j < schemes.size(); ++j) {
     std::printf("scheme: %s\n",
-                std::string(exp::to_string(schemes[j])).c_str());
+                schemes[j].display.c_str());
     exp::Table t({"hop", "avg queue (pkts)", "drop rate", "utilization (%)",
                   "jain (hop group)"});
     for (std::size_t h = 0; h < hops[j].size(); ++h)

@@ -25,10 +25,8 @@ int main(int argc, char** argv) {
   const double bin = interval / 10.0;
   const double bw = opt.full ? 150e6 : 50e6;
 
-  for (exp::Scheme s : {exp::Scheme::kPert, exp::Scheme::kVegas,
-                        exp::Scheme::kSackDroptail}) {
-    std::fprintf(stderr, "  running %s ...\n",
-                 std::string(exp::to_string(s)).c_str());
+  for (const exp::SchemeSpec& s : exp::parse_scheme_list("pert,vegas,sack")) {
+    std::fprintf(stderr, "  running %s ...\n", s.display.c_str());
     exp::DumbbellConfig cfg;
     cfg.scheme = s;
     cfg.bottleneck_bps = bw;
@@ -54,7 +52,7 @@ int main(int argc, char** argv) {
     const double total = 7 * interval;
 
     std::printf("scheme: %s (cohort size %d, %gs intervals)\n",
-                std::string(exp::to_string(s)).c_str(), kCohort, interval);
+                s.display.c_str(), kCohort, interval);
     exp::Table t({"time (s)", "cohort1 (Mbps)", "cohort2 (Mbps)",
                   "cohort3 (Mbps)", "cohort4 (Mbps)"});
 

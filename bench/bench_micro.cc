@@ -235,7 +235,7 @@ BENCHMARK(BM_EndToEndSimSecond);
 /// worker threads are doing the simulating.
 void end_to_end_dumbbell(benchmark::State& state, std::int32_t flows) {
   exp::DumbbellConfig c;
-  c.scheme = exp::Scheme::kPert;
+  c.scheme = exp::parse_scheme_spec("pert");
   c.bottleneck_bps = 150e6;
   c.rtt = 0.060;
   c.num_fwd_flows = flows;
@@ -283,7 +283,7 @@ BENCHMARK(BM_EndToEndDumbbell1000Flows)
 /// sharded layout is one shard per router cloud).
 void BM_EndToEndMultiBottleneck(benchmark::State& state) {
   exp::MultiBottleneckConfig c;
-  c.scheme = exp::Scheme::kPert;
+  c.scheme = exp::parse_scheme_spec("pert");
   c.start_window = 2.0;
   c.watchdog.enabled = false;
   c.sim_threads = static_cast<std::int32_t>(state.range(0));

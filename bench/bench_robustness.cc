@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
     spec.xs.push_back(static_cast<double>(i));  // index into `cells`
     spec.x_labels.push_back(cells[i].label);
   }
-  spec.schemes = {exp::Scheme::kPert, exp::Scheme::kSackDroptail};
+  spec.schemes = exp::parse_scheme_list("pert,sack");
   spec.config = [&](double x, const exp::SchemeSpec& s) {
     exp::DumbbellConfig cfg;
     cfg.scheme = s;
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   std::printf("-- drop causes (congestion/overflow/injected) --\n");
   {
     std::vector<std::string> headers{spec.x_name};
-    for (auto s : spec.schemes) headers.emplace_back(exp::to_string(s));
+    for (auto s : spec.schemes) headers.emplace_back(s.display);
     exp::Table t(headers);
     const std::size_t ns = spec.schemes.size();
     for (std::size_t i = 0; i < spec.xs.size(); ++i) {

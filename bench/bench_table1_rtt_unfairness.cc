@@ -18,11 +18,9 @@ int main(int argc, char** argv) {
              "Sack/RED F=0.51 | Vegas Q=0.07 U~100 F=0.98");
 
   exp::Table t({"scheme", "Q (norm)", "p", "U (%)", "F"});
-  for (exp::Scheme s :
-       {exp::Scheme::kPert, exp::Scheme::kSackDroptail,
-        exp::Scheme::kSackRedEcn, exp::Scheme::kVegas}) {
-    std::fprintf(stderr, "  running %s ...\n",
-                 std::string(exp::to_string(s)).c_str());
+  for (const exp::SchemeSpec& s :
+       exp::parse_scheme_list("pert,sack,sack-red,vegas")) {
+    std::fprintf(stderr, "  running %s ...\n", s.display.c_str());
     exp::DumbbellConfig cfg;
     cfg.scheme = s;
     cfg.bottleneck_bps = opt.full ? 150e6 : 100e6;
@@ -35,7 +33,7 @@ int main(int argc, char** argv) {
     cfg.seed = 1;
     exp::Dumbbell d(cfg);
     const auto m = opt.full ? d.measure_window(100.0, 200.0) : d.measure_window(25.0, 60.0);
-    t.row({std::string(exp::to_string(s)), exp::fmt(m.norm_queue, "%.3f"),
+    t.row({s.display, exp::fmt(m.norm_queue, "%.3f"),
            exp::fmt(m.drop_rate, "%.2e"),
            exp::fmt(100 * m.utilization, "%.2f"), exp::fmt(m.jain, "%.3f")});
   }

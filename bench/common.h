@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dist/shard.h"
@@ -58,9 +59,12 @@ inline void print_scheme_registries() {
   for (const net::QdiscInfo& m : net::QdiscRegistry::instance().list())
     std::printf("  %-10s %s%s\n", m.name.c_str(), m.summary.c_str(),
                 m.marks_ecn ? " [marks ecn]" : "");
+  std::printf("paper scheme names:");
+  for (const exp::SchemeAlias& a : exp::scheme_aliases())
+    std::printf(" %.*s", static_cast<int>(a.alias.size()), a.alias.data());
   std::printf(
-      "scheme spec: a legacy paper name (pert, sack-red, ...) or cc/qdisc\n"
-      "with an optional +ecn/-ecn suffix, e.g. cubic/codel, dctcp/red+ecn\n");
+      "\nscheme spec: a paper scheme name or cc/qdisc with an optional\n"
+      "+ecn/-ecn suffix, e.g. cubic/codel, dctcp/red+ecn\n");
 }
 
 struct Opts {
@@ -148,29 +152,17 @@ struct Opts {
     std::printf("paper shape: %s\n\n", paper_expectation);
   }
 
-  /// The bench's scheme set: `fallback` unless --schemes was given, in which
-  /// case the comma list is parsed (legacy names and cc/qdisc specs mix
-  /// freely). Parse errors are usage errors: message + exit(2).
-  std::vector<exp::SchemeSpec> schemes_or(
-      std::vector<exp::SchemeSpec> fallback) const {
-    if (schemes_arg.empty()) return fallback;
-    std::vector<exp::SchemeSpec> out;
-    std::size_t pos = 0;
-    const std::string& s = schemes_arg;
+  /// The bench's scheme set: the comma list `fallback` unless --schemes was
+  /// given (paper names and cc/qdisc specs mix freely). Parse errors are
+  /// usage errors: message + exit(2).
+  std::vector<exp::SchemeSpec> schemes_or(std::string_view fallback) const {
     try {
-      while (pos <= s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? s.size() : comma;
-        out.push_back(exp::parse_scheme_spec(
-            std::string_view(s).substr(pos, end - pos)));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      return exp::parse_scheme_list(schemes_arg.empty() ? fallback
+                                                        : schemes_arg);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       std::exit(2);
     }
-    return out;
   }
 
   /// Runner options carrying --jobs / --journal / --resume / --shard for

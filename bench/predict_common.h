@@ -42,7 +42,7 @@ inline constexpr double kRttThreshold = 0.065;
 inline predictors::FlowTrace record_case(const CaseSpec& c, bool full,
                                          std::uint64_t seed = 2) {
   exp::DumbbellConfig cfg;
-  cfg.scheme = exp::Scheme::kSackDroptail;
+  cfg.scheme = exp::parse_scheme_spec("sack");
   cfg.bottleneck_bps = 100e6;
   cfg.rtt = kTaggedRtt;
   cfg.buffer_pkts = 750;

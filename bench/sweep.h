@@ -78,10 +78,10 @@ inline runner::RunReport run_dumbbell_sweep(
       exp::DumbbellConfig cfg = spec.config(spec.xs[i], spec.schemes[j]);
       runner::Job job;
       job.key = spec.name + "/" + spec.x_name + "=" + spec.x_labels[i] + "/" +
-                exp::to_string(spec.schemes[j]);
+                spec.schemes[j].display;
       job.seed = runner::derive_seed(cfg.seed, job.key);
       job.tags = {{"x", spec.x_labels[i]},
-                  {"scheme", exp::to_string(spec.schemes[j])}};
+                  {"scheme", spec.schemes[j].display}};
       cfg.seed = job.seed;
       std::string trace_path;
       if (!trace_dir.empty()) {
@@ -169,7 +169,7 @@ inline runner::RunReport run_dumbbell_sweep(
     std::printf("-- %s --\n", md.name);
     std::vector<std::string> headers{spec.x_name};
     for (const auto& s : spec.schemes)
-      headers.emplace_back(exp::to_string(s));
+      headers.emplace_back(s.display);
     exp::Table t(headers);
     for (std::size_t i = 0; i < nx; ++i) {
       std::vector<std::string> row{spec.x_labels[i]};

@@ -17,13 +17,10 @@ int main() {
   exp::Table t({"scheme", "router support?", "avg queue (pkts)", "drop rate",
                 "ECN marks", "util (%)", "jain", "early resp."});
 
-  for (exp::Scheme scheme :
-       {exp::Scheme::kPert, exp::Scheme::kPertPi, exp::Scheme::kPertRem,
-        exp::Scheme::kVegas, exp::Scheme::kSackRedEcn,
-        exp::Scheme::kSackPiEcn, exp::Scheme::kSackRemEcn,
-        exp::Scheme::kSackAvqEcn, exp::Scheme::kSackDroptail}) {
-    std::fprintf(stderr, "running %s ...\n",
-                 std::string(exp::to_string(scheme)).c_str());
+  for (const exp::SchemeSpec& scheme : exp::parse_scheme_list(
+           "pert,pert-pi,pert-rem,vegas,sack-red,sack-pi,sack-rem,sack-avq,"
+           "sack")) {
+    std::fprintf(stderr, "running %s ...\n", scheme.display.c_str());
     exp::DumbbellConfig cfg;
     cfg.scheme = scheme;
     cfg.bottleneck_bps = 50e6;
@@ -36,8 +33,8 @@ int main() {
 
     exp::Dumbbell d(cfg);
     const exp::WindowMetrics m = d.measure_window(20.0, 60.0);
-    t.row({std::string(exp::to_string(scheme)),
-           exp::router_aqm(scheme) ? "yes (AQM queue)" : "no (DropTail)",
+    t.row({scheme.display,
+           scheme.router_aqm() ? "yes (AQM queue)" : "no (DropTail)",
            exp::fmt(m.avg_queue_pkts, "%.1f"), exp::fmt(m.drop_rate, "%.2e"),
            std::to_string(m.ecn_marks), exp::fmt(100 * m.utilization, "%.1f"),
            exp::fmt(m.jain, "%.3f"), std::to_string(m.early_responses)});

@@ -13,7 +13,7 @@ int main() {
   using namespace pert;
 
   exp::DumbbellConfig cfg;
-  cfg.scheme = exp::Scheme::kPert;
+  cfg.scheme = exp::parse_scheme_spec("pert");
   cfg.bottleneck_bps = 30e6;
   cfg.rtt = 0.060;
   cfg.num_fwd_flows = 5;

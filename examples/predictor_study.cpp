@@ -20,7 +20,7 @@ int main() {
   // 1. Simulate: standard TCP over a 50 Mbps DropTail bottleneck with web
   //    cross-traffic; flow 0 (60 ms RTT) is the observed flow.
   exp::DumbbellConfig cfg;
-  cfg.scheme = exp::Scheme::kSackDroptail;
+  cfg.scheme = exp::parse_scheme_spec("sack");
   cfg.bottleneck_bps = 50e6;
   cfg.rtt = 0.060;
   cfg.flow_rtts = {0.060, 0.030, 0.090, 0.120};

@@ -12,9 +12,8 @@ int main() {
   exp::Table table({"scheme", "avg queue (pkts)", "drop rate", "utilization",
                     "jain", "early responses"});
 
-  for (exp::Scheme scheme :
-       {exp::Scheme::kPert, exp::Scheme::kSackDroptail,
-        exp::Scheme::kSackRedEcn, exp::Scheme::kVegas}) {
+  for (const exp::SchemeSpec& scheme :
+       exp::parse_scheme_list("pert,sack,sack-red,vegas")) {
     exp::DumbbellConfig cfg;
     cfg.scheme = scheme;
     cfg.bottleneck_bps = 100e6;  // 100 Mbps
@@ -26,7 +25,7 @@ int main() {
     exp::Dumbbell d(cfg);
     exp::WindowMetrics m = d.measure_window(/*warmup=*/20.0, /*measure=*/40.0);
 
-    table.row({std::string(exp::to_string(scheme)),
+    table.row({scheme.display,
                exp::fmt(m.avg_queue_pkts, "%.1f"),
                exp::fmt(m.drop_rate, "%.2e"),
                exp::fmt(m.utilization, "%.3f"), exp::fmt(m.jain, "%.3f"),

@@ -186,19 +186,6 @@ double parse_rate(std::string_view s) {
   return v;
 }
 
-Scheme parse_scheme(std::string_view s) {
-  if (s == "pert") return Scheme::kPert;
-  if (s == "pert-pi") return Scheme::kPertPi;
-  if (s == "pert-rem") return Scheme::kPertRem;
-  if (s == "vegas") return Scheme::kVegas;
-  if (s == "sack" || s == "sack-droptail") return Scheme::kSackDroptail;
-  if (s == "sack-red") return Scheme::kSackRedEcn;
-  if (s == "sack-pi") return Scheme::kSackPiEcn;
-  if (s == "sack-rem") return Scheme::kSackRemEcn;
-  if (s == "sack-avq") return Scheme::kSackAvqEcn;
-  throw std::invalid_argument("unknown scheme: " + std::string(s));
-}
-
 CliOptions parse_cli(const std::vector<std::string>& args) {
   CliOptions o;
   for (const std::string& tok : args) {
@@ -209,17 +196,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     const std::string_view val = std::string_view(tok).substr(eq + 1);
 
     if (key == "scheme") {
-      o.schemes.clear();
-      std::size_t pos = 0;
-      while (pos <= val.size()) {
-        const std::size_t comma = val.find(',', pos);
-        const std::string_view one =
-            val.substr(pos, comma == std::string_view::npos ? val.size() - pos
-                                                            : comma - pos);
-        o.schemes.push_back(parse_scheme_spec(one));
-        if (comma == std::string_view::npos) break;
-        pos = comma + 1;
-      }
+      o.schemes = parse_scheme_list(val);
       o.cfg.scheme = o.schemes.front();
     } else if (key == "bw") {
       o.cfg.bottleneck_bps = parse_rate(val);
@@ -285,14 +262,16 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
 }
 
 std::string cli_usage() {
+  std::string aliases;
+  for (const SchemeAlias& a : scheme_aliases())
+    aliases += (aliases.empty() ? "" : "|") + std::string(a.alias);
   return "usage: pert_sim [--jobs N] [--json PATH] [--journal PATH "
          "[--resume]] key=value ...\n"
          "       pert_sim repro=<bundle.json>   (replay a fuzzer repro "
          "bundle)\n"
          "       pert_sim schemes               (list CC modules + queue "
          "disciplines)\n"
-         "  scheme=pert|pert-pi|pert-rem|vegas|sack|sack-red|sack-pi|"
-         "sack-rem|sack-avq\n"
+         "  scheme=" + aliases + "\n"
          "         or any cc/qdisc pair, e.g. scheme=cubic/codel, "
          "scheme=dctcp/red+ecn\n"
          "         (comma list runs one scenario per scheme, in parallel "

@@ -1,11 +1,11 @@
 // key=value command-line configuration for simulation drivers.
 //
 // Grammar (one token per argument, order-insensitive):
-//   scheme=pert|pert-pi|pert-rem|vegas|sack|sack-red|sack-pi|sack-rem|sack-avq
-//          or any registered "cc/qdisc" pair, e.g. scheme=cubic/codel or
+//   scheme=<spec>    a paper scheme alias (exp::scheme_aliases()) or any
+//          registered "cc/qdisc" pair, e.g. scheme=cubic/codel or
 //          scheme=dctcp/red+ecn ("+ecn"/"-ecn" overrides the default; run
-//          `pert_sim schemes` for the module lists). A comma list runs one
-//          scenario per scheme, e.g. scheme=pert,sack-red,cubic/pie.
+//          `pert_sim schemes` for the aliases and module lists). A comma
+//          list runs one scenario per scheme, e.g. scheme=pert,cubic/pie.
 //   bw=<rate>        link rate: plain bits/s or with k/M/G suffix (150M)
 //   rtt=<ms>         end-to-end RTT in milliseconds
 //   rtts=<ms,ms,..>  per-flow RTT list (overrides rtt for long-term flows)
@@ -28,7 +28,8 @@
 //     impair=flap:first=30,down=2[,period=10][,count=3]
 //
 // Unknown keys and malformed values throw std::invalid_argument with a
-// message naming the offending token.
+// message naming the offending token; unknown scheme names throw
+// sim::ConfigError from parse_scheme_spec.
 #pragma once
 
 #include <string>
@@ -45,7 +46,7 @@ struct CliOptions {
   /// Every scheme named by the scheme= token, in order (cfg.scheme is the
   /// first). Drivers run one scenario per entry; size > 1 only when the user
   /// passed a comma list.
-  std::vector<SchemeSpec> schemes{Scheme::kPert};
+  std::vector<SchemeSpec> schemes{parse_scheme_spec("pert")};
   double warmup = 20.0;
   double measure = 40.0;
   std::string trace_out;
@@ -59,11 +60,6 @@ struct CliOptions {
 
 /// Parses a rate like "150M", "2.5G", "64k", or "1000000".
 double parse_rate(std::string_view s);
-
-/// Parses a legacy paper scheme name into the closed enum. Free-form
-/// "cc/qdisc" combinations are NOT accepted here — use parse_scheme_spec
-/// (scheme.h), which this parser's CLI callers go through.
-Scheme parse_scheme(std::string_view s);
 
 /// Parses one impair= specification ("model:key=value,...") into `out`,
 /// merging with whatever is already set (so repeated impair= tokens compose).

@@ -26,9 +26,8 @@
 namespace pert::exp {
 
 struct DumbbellConfig {
-  /// End-host CC module + bottleneck discipline + ECN. Assignable from a
-  /// legacy `Scheme` enumerator or a parse_scheme_spec() result.
-  SchemeSpec scheme = Scheme::kPert;
+  /// End-host CC module + bottleneck discipline + ECN.
+  SchemeSpec scheme = parse_scheme_spec("pert");
   double bottleneck_bps = 150e6;
   /// End-to-end two-way propagation delay for flows without an explicit RTT.
   double rtt = 0.060;

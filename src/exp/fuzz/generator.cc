@@ -17,16 +17,17 @@ Scenario generate_scenario(std::uint64_t seed, const GeneratorBounds& b) {
       static_cast<std::uint64_t>(b.min_flows),
       static_cast<std::uint64_t>(b.max_flows)));
 
+  const SchemeSpec sack = parse_scheme_spec("sack");
   if (rng.bernoulli(b.p_alt_scheme))
-    s.scheme = rng.bernoulli(0.5) ? Scheme::kPertPi : Scheme::kSackDroptail;
+    s.scheme = rng.bernoulli(0.5) ? parse_scheme_spec("pert-pi") : sack;
   else
-    s.scheme = Scheme::kPert;
+    s.scheme = parse_scheme_spec("pert");
 
   if (rng.bernoulli(b.p_rev_flows))
     s.num_rev_flows = static_cast<std::int32_t>(rng.uniform_int(1, 4));
   if (rng.bernoulli(b.p_web))
     s.num_web_sessions = static_cast<std::int32_t>(rng.uniform_int(2, 10));
-  if (s.scheme != Scheme::kSackDroptail && rng.bernoulli(b.p_sack_mix))
+  if (s.scheme != sack && rng.bernoulli(b.p_sack_mix))
     s.nonproactive_fraction = rng.uniform(0.1, 0.5);
 
   // Chain dimensions: small, so one scenario stays a few wall-seconds.

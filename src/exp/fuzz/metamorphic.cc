@@ -183,8 +183,8 @@ std::string diff_rescaled(const WindowMetrics& full, const WindowMetrics& half) 
 /// (RED's auto-tuned wq, the PI/REM/AVQ gain designs) re-derive their
 /// constants from the link rate, so halving time changes their difference
 /// equations — their scaling behavior is pinned by unit tests instead.
-bool rescalable_scheme(Scheme s) {
-  return s == Scheme::kPert || s == Scheme::kSackDroptail;
+bool rescalable_scheme(const SchemeSpec& s) {
+  return s == parse_scheme_spec("pert") || s == parse_scheme_spec("sack");
 }
 
 /// The dumbbell builder floors the access-link delay at 0.5 ms and the

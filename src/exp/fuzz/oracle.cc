@@ -33,7 +33,7 @@ OracleVerdict check_against_fluid(const Scenario& s,
   // over a clean single bottleneck, nothing else.
   if (s.topology != Topology::kDumbbell)
     return inapplicable("multi-bottleneck topology");
-  if (s.scheme != Scheme::kPert)
+  if (s.scheme != parse_scheme_spec("pert"))
     return inapplicable("scheme is not plain PERT");
   if (s.has_impairments()) return inapplicable("impairments enabled");
   if (s.num_rev_flows > 0) return inapplicable("reverse traffic present");

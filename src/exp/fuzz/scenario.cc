@@ -3,29 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "exp/cli.h"
-
 namespace pert::exp::fuzz {
 
 namespace {
-
-/// CLI-vocabulary scheme names ("pert", "sack", ...): the spelling
-/// parse_scheme accepts, so scenario JSON round-trips through the same
-/// parser the pert_sim command line uses.
-std::string scheme_cli_name(Scheme s) {
-  switch (s) {
-    case Scheme::kPert: return "pert";
-    case Scheme::kPertPi: return "pert-pi";
-    case Scheme::kPertRem: return "pert-rem";
-    case Scheme::kVegas: return "vegas";
-    case Scheme::kSackDroptail: return "sack";
-    case Scheme::kSackRedEcn: return "sack-red";
-    case Scheme::kSackPiEcn: return "sack-pi";
-    case Scheme::kSackRemEcn: return "sack-rem";
-    case Scheme::kSackAvqEcn: return "sack-avq";
-  }
-  return "pert";
-}
 
 double num_or(const runner::JsonValue& obj, std::string_view key,
               double fallback) {
@@ -57,7 +37,7 @@ runner::JsonValue to_json(const Scenario& s) {
   o.reserve(24);
   o.emplace_back("seed", runner::JsonValue(s.seed));
   o.emplace_back("topology", runner::JsonValue(to_string(s.topology)));
-  o.emplace_back("scheme", runner::JsonValue(scheme_cli_name(s.scheme)));
+  o.emplace_back("scheme", runner::JsonValue(spec_string(s.scheme)));
   o.emplace_back("bottleneck_bps", runner::JsonValue(s.bottleneck_bps));
   o.emplace_back("rtt", runner::JsonValue(s.rtt));
   o.emplace_back("num_fwd_flows", runner::JsonValue(s.num_fwd_flows));
@@ -92,7 +72,7 @@ Scenario scenario_from_json(const runner::JsonValue& v) {
   if (const runner::JsonValue* t = v.find("topology"))
     s.topology = topology_from_string(t->as_string());
   if (const runner::JsonValue* sch = v.find("scheme"))
-    s.scheme = parse_scheme(sch->as_string());
+    s.scheme = parse_scheme_spec(sch->as_string());
   s.bottleneck_bps = num_or(v, "bottleneck_bps", s.bottleneck_bps);
   s.rtt = num_or(v, "rtt", s.rtt);
   s.num_fwd_flows = int_or(v, "num_fwd_flows", s.num_fwd_flows);

@@ -27,7 +27,7 @@ struct Scenario {
   std::uint64_t seed = 1;  ///< drives every RNG stream in the simulation
   Topology topology = Topology::kDumbbell;
 
-  Scheme scheme = Scheme::kPert;
+  SchemeSpec scheme = parse_scheme_spec("pert");  ///< JSON: spec_string()
   double bottleneck_bps = 20e6;
   double rtt = 0.060;              ///< two-way propagation delay, seconds
   std::int32_t num_fwd_flows = 8;

@@ -15,9 +15,8 @@
 namespace pert::exp {
 
 struct MultiBottleneckConfig {
-  /// End-host CC module + hop-queue discipline + ECN. Assignable from a
-  /// legacy `Scheme` enumerator or a parse_scheme_spec() result.
-  SchemeSpec scheme = Scheme::kPert;
+  /// End-host CC module + hop-queue discipline + ECN.
+  SchemeSpec scheme = parse_scheme_spec("pert");
   std::int32_t num_routers = 6;
   std::int32_t hosts_per_cloud = 20;
   double router_link_bps = 150e6;

@@ -2,48 +2,60 @@
 
 #include <mutex>
 #include <utility>
-#include <vector>
 
 #include "core/cc_pert_modules.h"
 #include "net/qdisc_registry.h"
+#include "sim/errors.h"
 #include "sim/suggest.h"
 #include "tcp/cc_registry.h"
 
 namespace pert::exp {
 
-SchemeSpec::SchemeSpec(Scheme s) {
-  switch (s) {
-    case Scheme::kSackDroptail:
-      *this = SchemeSpec{"Sack/Droptail", "sack", "droptail", false};
-      return;
-    case Scheme::kSackRedEcn:
-      *this = SchemeSpec{"Sack/RED-ECN", "sack", "red", true};
-      return;
-    case Scheme::kSackPiEcn:
-      *this = SchemeSpec{"Sack/PI-ECN", "sack", "pi", true};
-      return;
-    case Scheme::kSackRemEcn:
-      *this = SchemeSpec{"Sack/REM-ECN", "sack", "rem", true};
-      return;
-    case Scheme::kSackAvqEcn:
-      *this = SchemeSpec{"Sack/AVQ-ECN", "sack", "avq", true};
-      return;
-    case Scheme::kVegas:
-      *this = SchemeSpec{"Vegas", "vegas", "droptail", false};
-      return;
-    case Scheme::kPert:
-      *this = SchemeSpec{"PERT", "pert", "droptail", false};
-      return;
-    case Scheme::kPertPi:
-      *this = SchemeSpec{"PERT-PI", "pert-pi", "droptail", false};
-      return;
-    case Scheme::kPertRem:
-      *this = SchemeSpec{"PERT-REM", "pert-rem", "droptail", false};
-      return;
-  }
-  throw sim::ConfigError("SchemeSpec: Scheme value outside the enumeration",
-                         "a Scheme was forged from an out-of-range integer");
+namespace {
+
+/// The one place the paper's scheme names live. Rows 0-8 are the nine
+/// paper schemes; "sack-droptail" is a second spelling of row 0, listed
+/// after it so spec_string() writes "sack". The scheme-sweep test IDs print
+/// row indices, so new rows go at the end.
+constexpr SchemeAlias kAliases[] = {
+    {"sack", "Sack/Droptail", "sack", "droptail", false},
+    {"sack-red", "Sack/RED-ECN", "sack", "red", true},
+    {"sack-pi", "Sack/PI-ECN", "sack", "pi", true},
+    {"sack-rem", "Sack/REM-ECN", "sack", "rem", true},
+    {"sack-avq", "Sack/AVQ-ECN", "sack", "avq", true},
+    {"vegas", "Vegas", "vegas", "droptail", false},
+    {"pert", "PERT", "pert", "droptail", false},
+    {"pert-pi", "PERT-PI", "pert-pi", "droptail", false},
+    {"pert-rem", "PERT-REM", "pert-rem", "droptail", false},
+    {"sack-droptail", "Sack/Droptail", "sack", "droptail", false},
+};
+
+[[noreturn]] void throw_unknown(const std::string& what,
+                                const std::string& name,
+                                const std::string& hint,
+                                const std::vector<std::string>& candidates) {
+  std::string msg = "unknown " + what + ": '" + name + "'";
+  if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
+  std::string known = "known names:";
+  for (const std::string& c : candidates) known += " " + c;
+  throw sim::ConfigError(msg, known);
 }
+
+/// "cc/qdisc", plus "+ecn" when ECN is on or "-ecn" when it is off against
+/// the combination's default.
+std::string explicit_spec(const std::string& cc, const std::string& qdisc,
+                          bool ecn, bool default_ecn) {
+  std::string s = cc + "/" + qdisc;
+  if (ecn)
+    s += "+ecn";
+  else if (default_ecn)
+    s += "-ecn";
+  return s;
+}
+
+}  // namespace
+
+std::span<const SchemeAlias> scheme_aliases() noexcept { return kAliases; }
 
 void ensure_scheme_modules() {
   static std::once_flag once;
@@ -56,39 +68,11 @@ void ensure_scheme_modules() {
   });
 }
 
-namespace {
-
-/// Legacy paper scheme names accepted since the first CLI. New combinations
-/// use the "cc/qdisc" grammar instead of growing this table.
-const std::pair<std::string_view, Scheme> kLegacyNames[] = {
-    {"pert", Scheme::kPert},
-    {"pert-pi", Scheme::kPertPi},
-    {"pert-rem", Scheme::kPertRem},
-    {"vegas", Scheme::kVegas},
-    {"sack", Scheme::kSackDroptail},
-    {"sack-droptail", Scheme::kSackDroptail},
-    {"sack-red", Scheme::kSackRedEcn},
-    {"sack-pi", Scheme::kSackPiEcn},
-    {"sack-rem", Scheme::kSackRemEcn},
-    {"sack-avq", Scheme::kSackAvqEcn},
-};
-
-[[noreturn]] void throw_unknown(const std::string& what,
-                                const std::string& name,
-                                std::vector<std::string> candidates) {
-  const std::string hint = sim::closest_match(name, candidates);
-  std::string msg = "unknown " + what + ": '" + name + "'";
-  if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-  std::string known = "known names:";
-  for (const std::string& c : candidates) known += " " + c;
-  throw sim::ConfigError(msg, known);
-}
-
-}  // namespace
-
 SchemeSpec parse_scheme_spec(std::string_view text) {
-  for (const auto& [name, scheme] : kLegacyNames)
-    if (text == name) return SchemeSpec(scheme);
+  for (const SchemeAlias& a : kAliases)
+    if (text == a.alias)
+      return SchemeSpec{std::string(a.display), std::string(a.cc),
+                        std::string(a.qdisc), a.ecn};
 
   ensure_scheme_modules();
   auto& ccs = tcp::CcRegistry::instance();
@@ -96,15 +80,16 @@ SchemeSpec parse_scheme_spec(std::string_view text) {
 
   const std::size_t slash = text.find('/');
   if (slash == std::string_view::npos) {
-    // Not a legacy name and not a combination: suggest across both the
-    // legacy table and the CC module names (a bare module name is the most
-    // common near-miss for "cc/qdisc").
+    // Not an alias and not a combination: suggest across both the alias
+    // table and the CC module names (a bare module name is the most common
+    // near-miss for "cc/qdisc"); a module name still needs a discipline.
     std::vector<std::string> candidates;
-    for (const auto& [name, scheme] : kLegacyNames)
-      candidates.emplace_back(name);
+    for (const SchemeAlias& a : kAliases) candidates.emplace_back(a.alias);
     for (const std::string& n : ccs.names()) candidates.push_back(n);
+    std::string hint = sim::closest_match(text, candidates);
+    if (ccs.find(hint) != nullptr) hint += "/droptail";
     throw_unknown("scheme (expected a paper scheme name or 'cc/qdisc')",
-                  std::string(text), std::move(candidates));
+                  std::string(text), hint, candidates);
   }
 
   const std::string cc(text.substr(0, slash));
@@ -123,14 +108,39 @@ SchemeSpec parse_scheme_spec(std::string_view text) {
 
   const tcp::CcInfo* ci = ccs.find(cc);
   if (ci == nullptr)
-    throw_unknown("congestion-control module", cc, ccs.names());
+    throw_unknown("congestion-control module", cc,
+                  sim::closest_match(cc, ccs.names()), ccs.names());
   const net::QdiscInfo* qi = qds.find(qdisc);
-  if (qi == nullptr) throw_unknown("queue discipline", qdisc, qds.names());
+  if (qi == nullptr)
+    throw_unknown("queue discipline", qdisc,
+                  sim::closest_match(qdisc, qds.names()), qds.names());
 
-  const bool ecn = ecn_forced ? ecn_value : (ci->wants_ecn || qi->marks_ecn);
-  std::string display = cc + "/" + qdisc;
-  if (ecn) display += "+ecn";
-  return SchemeSpec{std::move(display), cc, qdisc, ecn};
+  const bool default_ecn = ci->wants_ecn || qi->marks_ecn;
+  const bool ecn = ecn_forced ? ecn_value : default_ecn;
+  return SchemeSpec{explicit_spec(cc, qdisc, ecn, default_ecn), cc, qdisc,
+                    ecn};
+}
+
+std::vector<SchemeSpec> parse_scheme_list(std::string_view text) {
+  std::vector<SchemeSpec> out;
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = text.find(',', pos);
+    out.push_back(parse_scheme_spec(text.substr(pos, comma - pos)));
+    if (comma == std::string_view::npos) return out;
+    pos = comma + 1;
+  }
+}
+
+std::string spec_string(const SchemeSpec& s) {
+  for (const SchemeAlias& a : kAliases)
+    if (a.cc == s.cc && a.qdisc == s.qdisc && a.ecn == s.ecn)
+      return std::string(a.alias);
+  ensure_scheme_modules();
+  const tcp::CcInfo* ci = tcp::CcRegistry::instance().find(s.cc);
+  const net::QdiscInfo* qi = net::QdiscRegistry::instance().find(s.qdisc);
+  const bool default_ecn =
+      ci != nullptr && qi != nullptr && (ci->wants_ecn || qi->marks_ecn);
+  return explicit_spec(s.cc, s.qdisc, s.ecn, default_ecn);
 }
 
 }  // namespace pert::exp

@@ -2,81 +2,29 @@
 // which queue discipline runs at the bottleneck, and whether the combination
 // uses ECN.
 //
-// The paper compares nine fixed combinations; those survive as the `Scheme`
-// enum plus an implicit conversion to `SchemeSpec`, so `cfg.scheme =
-// Scheme::kPert` and every recorded seed keep working unchanged. New
-// combinations need no enum edit: `parse_scheme_spec("cubic/codel")` resolves
-// both names against tcp::CcRegistry and net::QdiscRegistry, with
-// did-you-mean suggestions for typos.
+// A scheme is named by a spec string. The paper's nine combinations keep
+// their short names as rows of one alias table (scheme_aliases()); any other
+// combination is "cc/qdisc", resolved against tcp::CcRegistry and
+// net::QdiscRegistry with did-you-mean suggestions for typos.
+// parse_scheme_spec reads a spec string and spec_string writes one.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
-
-#include "sim/errors.h"
+#include <vector>
 
 namespace pert::exp {
-
-/// The nine fixed end-host + queue combinations compared in the paper.
-/// Kept for compatibility: every test and driver that names a paper scheme
-/// does so through this enum; `SchemeSpec` is the open-ended superset.
-enum class Scheme {
-  kSackDroptail,  ///< SACK senders, DropTail bottleneck
-  kSackRedEcn,    ///< ECN-enabled SACK, Adaptive-RED bottleneck with ECN
-  kSackPiEcn,     ///< ECN-enabled SACK, PI bottleneck with ECN
-  kSackRemEcn,    ///< ECN-enabled SACK, REM bottleneck with ECN (extension)
-  kSackAvqEcn,    ///< ECN-enabled SACK, AVQ bottleneck with ECN (extension)
-  kVegas,         ///< TCP Vegas, DropTail bottleneck
-  kPert,          ///< PERT (RED emulation), DropTail bottleneck
-  kPertPi,        ///< PERT/PI (PI emulation), DropTail bottleneck
-  kPertRem,       ///< PERT/REM (REM emulation), DropTail bottleneck (ext.)
-};
-
-constexpr std::string_view to_string(Scheme s) {
-  switch (s) {
-    case Scheme::kSackDroptail: return "Sack/Droptail";
-    case Scheme::kSackRedEcn: return "Sack/RED-ECN";
-    case Scheme::kSackPiEcn: return "Sack/PI-ECN";
-    case Scheme::kSackRemEcn: return "Sack/REM-ECN";
-    case Scheme::kSackAvqEcn: return "Sack/AVQ-ECN";
-    case Scheme::kVegas: return "Vegas";
-    case Scheme::kPert: return "PERT";
-    case Scheme::kPertPi: return "PERT-PI";
-    case Scheme::kPertRem: return "PERT-REM";
-  }
-  throw sim::ConfigError("to_string(Scheme): value outside the enumeration",
-                         "a Scheme was forged from an out-of-range integer");
-}
-
-/// Does the scheme place an AQM at the bottleneck router?
-constexpr bool router_aqm(Scheme s) {
-  return s == Scheme::kSackRedEcn || s == Scheme::kSackPiEcn ||
-         s == Scheme::kSackRemEcn || s == Scheme::kSackAvqEcn;
-}
-
-/// Does the scheme's sender use ECN?
-constexpr bool sender_ecn(Scheme s) { return router_aqm(s); }
 
 /// An open-ended scheme: a congestion-control module name (tcp::CcRegistry
 /// key), a queue-discipline name (net::QdiscRegistry key), and the ECN bit
 /// for the combination. Equality ignores the display string — two specs are
 /// the same scheme when they build the same simulation.
 struct SchemeSpec {
-  std::string display = "Sack/Droptail";  ///< table/report label
-  std::string cc = "sack";                ///< tcp::CcRegistry key
-  std::string qdisc = "droptail";         ///< net::QdiscRegistry key
-  bool ecn = false;          ///< senders ECN-capable & discipline marks
-
-  SchemeSpec() = default;
-  SchemeSpec(std::string display, std::string cc, std::string qdisc, bool ecn)
-      : display(std::move(display)),
-        cc(std::move(cc)),
-        qdisc(std::move(qdisc)),
-        ecn(ecn) {}
-
-  /// Implicit on purpose: `cfg.scheme = Scheme::kPert` and the nine recorded
-  /// paper schemes must keep compiling and produce byte-identical runs.
-  SchemeSpec(Scheme s);  // NOLINT(google-explicit-constructor)
+  std::string display;  ///< table/report label
+  std::string cc;       ///< tcp::CcRegistry key
+  std::string qdisc;    ///< net::QdiscRegistry key
+  bool ecn = false;     ///< senders ECN-capable & discipline marks
 
   /// Does the spec place an AQM at the bottleneck router?
   bool router_aqm() const noexcept { return qdisc != "droptail"; }
@@ -89,11 +37,18 @@ inline bool operator!=(const SchemeSpec& a, const SchemeSpec& b) noexcept {
   return !(a == b);
 }
 
-/// Display label; overloads to_string(Scheme) so call sites printing a
-/// config's scheme work for both representations.
-inline const std::string& to_string(const SchemeSpec& s) noexcept {
-  return s.display;
-}
+/// A short scheme name and the spec it stands for.
+struct SchemeAlias {
+  std::string_view alias;    ///< what parse_scheme_spec accepts
+  std::string_view display;  ///< SchemeSpec::display
+  std::string_view cc;       ///< SchemeSpec::cc
+  std::string_view qdisc;    ///< SchemeSpec::qdisc
+  bool ecn;                  ///< SchemeSpec::ecn
+};
+
+/// The paper's scheme names. The first nine rows are the nine distinct
+/// paper schemes; later rows are alternative spellings of one of them.
+std::span<const SchemeAlias> scheme_aliases() noexcept;
 
 /// Registers every in-tree congestion-control module and queue discipline
 /// (idempotent; thread-safe). Called by the topology builders and the
@@ -101,13 +56,21 @@ inline const std::string& to_string(const SchemeSpec& s) noexcept {
 /// using CcRegistrar/QdiscRegistrar are independent of it.
 void ensure_scheme_modules();
 
-/// Parses a scheme string. Accepts the nine legacy paper names
-/// (pert | pert-pi | pert-rem | vegas | sack | sack-droptail | sack-red |
-/// sack-pi | sack-rem | sack-avq) and free-form "cc/qdisc" combinations
-/// ("cubic/codel", "dctcp/red+ecn"), where an optional "+ecn" / "-ecn"
-/// suffix overrides the default (ECN on when the CC module wants it or the
-/// discipline can mark). Unknown names throw sim::ConfigError with a
-/// did-you-mean suggestion.
+/// Parses a scheme string: an alias from scheme_aliases(), or a free-form
+/// "cc/qdisc" combination ("cubic/codel", "dctcp/red+ecn"), where an
+/// optional "+ecn" / "-ecn" suffix overrides the default (ECN on when the CC
+/// module wants it or the discipline can mark). A free-form spec displays
+/// as its explicit spec string, so parsing the display gives the spec back.
+/// Unknown names throw sim::ConfigError with a did-you-mean suggestion.
 SchemeSpec parse_scheme_spec(std::string_view text);
+
+/// Parses a comma list of scheme strings ("pert,sack-red,cubic/pie"), in
+/// order. Throws as parse_scheme_spec does on the first bad element.
+std::vector<SchemeSpec> parse_scheme_list(std::string_view text);
+
+/// The spec string parse_scheme_spec reads back as `s`: the alias of the
+/// first alias row equal to `s`, else "cc/qdisc" with "+ecn" when ECN is on
+/// and "-ecn" when it is off against the default.
+std::string spec_string(const SchemeSpec& s);
 
 }  // namespace pert::exp

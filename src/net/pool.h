@@ -20,12 +20,14 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "net/packet.h"
-#include "sim/pool.h"
 
 namespace pert::net {
 
+/// Not thread-safe by design: each simulation owns its pool, and the
+/// experiment runner gives every job its own simulation.
 class PacketPool {
  public:
   struct Stats {
@@ -38,12 +40,17 @@ class PacketPool {
   PacketPool() = default;
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
+  ~PacketPool() {
+    for (Packet* p : free_) delete p;
+  }
 
   /// Hands out a packet in default-constructed state (uid unset — the caller
   /// assigns identity), adopted by this pool for recycling on death.
   PacketPtr acquire() {
-    Packet* p = free_.take();
-    if (p) {
+    Packet* p = nullptr;
+    if (!free_.empty()) {
+      p = free_.back();
+      free_.pop_back();
       *p = Packet{};  // scrub every field — no stale SACK/ECN/flags survive
       ++stats_.recycled;
     } else {
@@ -60,7 +67,7 @@ class PacketPool {
   void release(Packet* p) {
     p->pool_ref.pool = nullptr;
     ++stats_.releases;
-    free_.put(p);
+    free_.push_back(p);
   }
 
   const Stats& stats() const noexcept { return stats_; }
@@ -71,7 +78,7 @@ class PacketPool {
   }
 
  private:
-  sim::FreeList<Packet> free_;
+  std::vector<Packet*> free_;  ///< parked packets, owned by the pool
   Stats stats_;
 };
 

@@ -7,6 +7,7 @@
 
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "core/pert_params.h"
 #include "core/pert_sender.h"
@@ -105,9 +106,9 @@ TEST(PiEmulatorSentinel, NaNSamplePoisonsIntegrator) {
 
 // Smallest dumbbell that converges quickly: a handful of PERT flows, short
 // RTT, everything started inside the first second.
-exp::DumbbellConfig small_dumbbell(exp::Scheme scheme) {
+exp::DumbbellConfig small_dumbbell(std::string_view scheme) {
   exp::DumbbellConfig cfg;
-  cfg.scheme = scheme;
+  cfg.scheme = exp::parse_scheme_spec(scheme);
   cfg.bottleneck_bps = 10e6;
   cfg.rtt = 0.04;
   cfg.num_fwd_flows = 4;
@@ -116,7 +117,7 @@ exp::DumbbellConfig small_dumbbell(exp::Scheme scheme) {
 }
 
 TEST(SentinelEndToEnd, InjectedNaNInSrttCaughtByWatchdog) {
-  exp::Dumbbell d(small_dumbbell(exp::Scheme::kPert));
+  exp::Dumbbell d(small_dumbbell("pert"));
   d.network().sched().run_until(3.0);  // flows up, estimators seeded
   auto* sender = dynamic_cast<PertSender*>(&d.fwd_sender(0));
   ASSERT_NE(sender, nullptr);
@@ -135,7 +136,7 @@ TEST(SentinelEndToEnd, InjectedNaNInSrttCaughtByWatchdog) {
 }
 
 TEST(SentinelEndToEnd, InjectedNaNInPiIntegratorCaughtByWatchdog) {
-  exp::Dumbbell d(small_dumbbell(exp::Scheme::kPertPi));
+  exp::Dumbbell d(small_dumbbell("pert-pi"));
   d.network().sched().run_until(3.0);
   auto* sender = dynamic_cast<PertPiSender*>(&d.fwd_sender(0));
   ASSERT_NE(sender, nullptr);
@@ -151,7 +152,7 @@ TEST(SentinelEndToEnd, InjectedNaNInPiIntegratorCaughtByWatchdog) {
 }
 
 TEST(SentinelEndToEnd, HealthyRunTripsNothing) {
-  exp::Dumbbell d(small_dumbbell(exp::Scheme::kPert));
+  exp::Dumbbell d(small_dumbbell("pert"));
   EXPECT_NO_THROW(d.network().sched().run_until(5.0));
 }
 

@@ -23,17 +23,16 @@ TEST(ParseRate, Rejections) {
 }
 
 TEST(ParseScheme, AllNames) {
-  EXPECT_EQ(parse_scheme("pert"), Scheme::kPert);
-  EXPECT_EQ(parse_scheme("pert-pi"), Scheme::kPertPi);
-  EXPECT_EQ(parse_scheme("pert-rem"), Scheme::kPertRem);
-  EXPECT_EQ(parse_scheme("vegas"), Scheme::kVegas);
-  EXPECT_EQ(parse_scheme("sack"), Scheme::kSackDroptail);
-  EXPECT_EQ(parse_scheme("sack-droptail"), Scheme::kSackDroptail);
-  EXPECT_EQ(parse_scheme("sack-red"), Scheme::kSackRedEcn);
-  EXPECT_EQ(parse_scheme("sack-pi"), Scheme::kSackPiEcn);
-  EXPECT_EQ(parse_scheme("sack-rem"), Scheme::kSackRemEcn);
-  EXPECT_EQ(parse_scheme("sack-avq"), Scheme::kSackAvqEcn);
-  EXPECT_THROW(parse_scheme("cubic"), std::invalid_argument);
+  // Every alias is accepted by the parser the scheme= token goes through.
+  for (const SchemeAlias& a : scheme_aliases()) {
+    const SchemeSpec s = parse_scheme_spec(a.alias);
+    EXPECT_EQ(s.cc, a.cc) << a.alias;
+    EXPECT_EQ(s.qdisc, a.qdisc) << a.alias;
+    EXPECT_EQ(s.ecn, a.ecn) << a.alias;
+  }
+  EXPECT_EQ(parse_scheme_spec("sack"), parse_scheme_spec("sack-droptail"));
+  EXPECT_EQ(parse_cli({"scheme=pert,sack-droptail"}).schemes,
+            parse_scheme_list("pert,sack"));
 }
 
 TEST(ParseCli, FullScenario) {
@@ -43,7 +42,7 @@ TEST(ParseCli, FullScenario) {
        "start_window=12", "sack_fraction=0.25", "beta=0.4", "pmax=0.1",
        "gentle=0", "owd=1", "adaptive=1", "trace_out=/tmp/t.csv",
        "series_out=/tmp/q.csv", "series_interval=50"});
-  EXPECT_EQ(o.cfg.scheme, Scheme::kPert);
+  EXPECT_EQ(o.cfg.scheme, parse_scheme_spec("pert"));
   EXPECT_DOUBLE_EQ(o.cfg.bottleneck_bps, 150e6);
   EXPECT_DOUBLE_EQ(o.cfg.rtt, 0.060);
   EXPECT_EQ(o.cfg.num_fwd_flows, 50);
@@ -74,7 +73,7 @@ TEST(ParseCli, RttList) {
 
 TEST(ParseCli, DefaultsSurvive) {
   const CliOptions o = parse_cli({});
-  EXPECT_EQ(o.cfg.scheme, Scheme::kPert);
+  EXPECT_EQ(o.cfg.scheme, parse_scheme_spec("pert"));
   EXPECT_DOUBLE_EQ(o.warmup, 20.0);
   EXPECT_DOUBLE_EQ(o.measure, 40.0);
 }

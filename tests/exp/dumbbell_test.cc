@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+
+#include "scheme_param.h"
 
 namespace pert::exp {
 namespace {
 
-DumbbellConfig small(Scheme s) {
+DumbbellConfig small(std::string_view scheme) {
   DumbbellConfig cfg;
-  cfg.scheme = s;
+  cfg.scheme = parse_scheme_spec(scheme);
   cfg.bottleneck_bps = 20e6;
   cfg.rtt = 0.060;
   cfg.num_fwd_flows = 5;
@@ -18,12 +21,12 @@ DumbbellConfig small(Scheme s) {
   return cfg;
 }
 
-class SchemeSweep : public ::testing::TestWithParam<Scheme> {};
+class SchemeSweep : public ::testing::TestWithParam<SchemeParam> {};
 
 TEST_P(SchemeSweep, RunsAndProducesSaneMetrics) {
-  Dumbbell d(small(GetParam()));
+  Dumbbell d(small(GetParam().alias()));
   const WindowMetrics m = d.measure_window(10.0, 15.0);
-  EXPECT_GT(m.utilization, 0.5) << to_string(GetParam());
+  EXPECT_GT(m.utilization, 0.5) << GetParam().alias();
   EXPECT_LE(m.utilization, 1.01);
   EXPECT_GE(m.avg_queue_pkts, 0.0);
   EXPECT_LE(m.norm_queue, 1.0);
@@ -36,20 +39,16 @@ TEST_P(SchemeSweep, RunsAndProducesSaneMetrics) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeSweep,
-    ::testing::Values(Scheme::kSackDroptail, Scheme::kSackRedEcn,
-                      Scheme::kSackPiEcn, Scheme::kSackRemEcn,
-                      Scheme::kSackAvqEcn, Scheme::kVegas, Scheme::kPert,
-                      Scheme::kPertPi, Scheme::kPertRem),
-    [](const auto& pinfo) {
-      std::string n{to_string(pinfo.param)};
-      for (char& c : n)
-        if (c == '/' || c == '-') c = '_';
-      return n;
-    });
+    ::testing::Values(scheme_param("sack"), scheme_param("sack-red"),
+                      scheme_param("sack-pi"), scheme_param("sack-rem"),
+                      scheme_param("sack-avq"), scheme_param("vegas"),
+                      scheme_param("pert"), scheme_param("pert-pi"),
+                      scheme_param("pert-rem")),
+    scheme_param_name);
 
 TEST(Dumbbell, BufferFollowsPaperRule) {
   // BDP in packets, min 2x flows.
-  DumbbellConfig cfg = small(Scheme::kPert);
+  DumbbellConfig cfg = small("pert");
   cfg.bottleneck_bps = 100e6;
   cfg.rtt = 0.060;
   Dumbbell d(cfg);
@@ -63,7 +62,7 @@ TEST(Dumbbell, BufferFollowsPaperRule) {
 }
 
 TEST(Dumbbell, ExplicitBufferRespected) {
-  DumbbellConfig cfg = small(Scheme::kPert);
+  DumbbellConfig cfg = small("pert");
   cfg.buffer_pkts = 750;
   Dumbbell d(cfg);
   EXPECT_EQ(d.buffer_pkts(), 750);
@@ -71,7 +70,7 @@ TEST(Dumbbell, ExplicitBufferRespected) {
 }
 
 TEST(Dumbbell, PerFlowRttsAreRealized) {
-  DumbbellConfig cfg = small(Scheme::kSackDroptail);
+  DumbbellConfig cfg = small("sack");
   cfg.flow_rtts = {0.020, 0.080, 0.140};
   cfg.num_fwd_flows = 3;
   cfg.start_window = 0.5;
@@ -84,26 +83,26 @@ TEST(Dumbbell, PerFlowRttsAreRealized) {
 }
 
 TEST(Dumbbell, PertBeatsDroptailOnQueueAndDrops) {
-  const WindowMetrics pert = Dumbbell(small(Scheme::kPert)).measure_window(10, 20);
-  const WindowMetrics dt = Dumbbell(small(Scheme::kSackDroptail)).measure_window(10, 20);
+  const WindowMetrics pert = Dumbbell(small("pert")).measure_window(10, 20);
+  const WindowMetrics dt = Dumbbell(small("sack")).measure_window(10, 20);
   EXPECT_LT(pert.avg_queue_pkts, dt.avg_queue_pkts);
   EXPECT_LE(pert.drop_rate, dt.drop_rate + 1e-9);
 }
 
 TEST(Dumbbell, EcnSchemesMarkInsteadOfDrop) {
-  Dumbbell d(small(Scheme::kSackRedEcn));
+  Dumbbell d(small("sack-red"));
   const WindowMetrics m = d.measure_window(10, 20);
   EXPECT_GT(m.ecn_marks, 0u);
 }
 
 TEST(Dumbbell, PertFlowsRespondEarly) {
-  Dumbbell d(small(Scheme::kPert));
+  Dumbbell d(small("pert"));
   const WindowMetrics m = d.measure_window(10, 20);
   EXPECT_GT(m.early_responses, 0u);
 }
 
 TEST(Dumbbell, WebTrafficRuns) {
-  DumbbellConfig cfg = small(Scheme::kPert);
+  DumbbellConfig cfg = small("pert");
   cfg.num_web_sessions = 20;
   cfg.web.think_mean = 0.5;
   Dumbbell d(cfg);
@@ -112,7 +111,7 @@ TEST(Dumbbell, WebTrafficRuns) {
 }
 
 TEST(Dumbbell, ReverseFlowsShareReturnPath) {
-  DumbbellConfig cfg = small(Scheme::kPert);
+  DumbbellConfig cfg = small("pert");
   cfg.num_rev_flows = 5;
   Dumbbell d(cfg);
   const WindowMetrics m = d.measure_window(10, 15);
@@ -121,7 +120,7 @@ TEST(Dumbbell, ReverseFlowsShareReturnPath) {
 }
 
 TEST(Dumbbell, NonproactiveMixForcesSackFlows) {
-  DumbbellConfig cfg = small(Scheme::kPert);
+  DumbbellConfig cfg = small("pert");
   cfg.nonproactive_fraction = 0.4;  // 2 of 5 flows are plain SACK
   Dumbbell d(cfg);
   const WindowMetrics m = d.measure_window(10, 20);
@@ -134,7 +133,7 @@ TEST(Dumbbell, NonproactiveMixForcesSackFlows) {
 }
 
 TEST(Dumbbell, DynamicAddAndStopFlows) {
-  DumbbellConfig cfg = small(Scheme::kPert);
+  DumbbellConfig cfg = small("pert");
   Dumbbell d(cfg);
   d.network().run_until(5.0);
   const auto idx = d.add_flows(3, 5.0);
@@ -152,7 +151,7 @@ TEST(Dumbbell, DynamicAddAndStopFlows) {
 }
 
 TEST(Dumbbell, ConservationAtBottleneck) {
-  Dumbbell d(small(Scheme::kSackDroptail));
+  Dumbbell d(small("sack"));
   d.measure_window(10, 20);
   const auto q = d.fwd_queue().snapshot();
   const auto l = d.fwd_link().snapshot();
@@ -165,8 +164,8 @@ TEST(Dumbbell, ConservationAtBottleneck) {
 }
 
 TEST(Dumbbell, DeterministicForSeed) {
-  const WindowMetrics a = Dumbbell(small(Scheme::kPert)).measure_window(10, 10);
-  const WindowMetrics b = Dumbbell(small(Scheme::kPert)).measure_window(10, 10);
+  const WindowMetrics a = Dumbbell(small("pert")).measure_window(10, 10);
+  const WindowMetrics b = Dumbbell(small("pert")).measure_window(10, 10);
   EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
   EXPECT_DOUBLE_EQ(a.avg_queue_pkts, b.avg_queue_pkts);
   EXPECT_EQ(a.drops, b.drops);

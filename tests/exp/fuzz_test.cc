@@ -7,10 +7,13 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "exp/fuzz/fuzz.h"
+#include "net/qdisc_registry.h"
 #include "runner/seed.h"
 #include "sim/errors.h"
+#include "tcp/cc_registry.h"
 
 namespace pert::exp::fuzz {
 namespace {
@@ -45,7 +48,7 @@ TEST(FuzzScenario, JsonRoundTripsEveryField) {
   Scenario s;
   s.seed = 0x1234abcd5678ef00ull;
   s.topology = Topology::kMultiBottleneck;
-  s.scheme = Scheme::kPertPi;
+  s.scheme = parse_scheme_spec("pert-pi");
   s.bottleneck_bps = 33.5e6;
   s.rtt = 0.0815;
   s.num_fwd_flows = 17;
@@ -69,6 +72,33 @@ TEST(FuzzScenario, JsonRoundTripsEveryField) {
   const Scenario back = scenario_from_json(
       runner::JsonValue::parse(to_json(s).dump(2)));
   EXPECT_EQ(back, s);
+}
+
+TEST(FuzzScenario, SchemeJsonRoundTripsEveryAliasAndRegisteredCombo) {
+  ensure_scheme_modules();
+  std::vector<std::string> specs;
+  for (const SchemeAlias& a : scheme_aliases()) specs.emplace_back(a.alias);
+  for (const std::string& cc : tcp::CcRegistry::instance().names())
+    for (const std::string& q : net::QdiscRegistry::instance().names())
+      for (const char* ecn : {"+ecn", "-ecn"})
+        specs.push_back(cc + "/" + q + ecn);
+  for (const std::string& text : specs) {
+    Scenario s;
+    s.scheme = parse_scheme_spec(text);
+    const Scenario back = scenario_from_json(
+        runner::JsonValue::parse(to_json(s).dump(2)));
+    EXPECT_EQ(back, s) << text;
+  }
+  // Today's scenario space keeps its bundle spelling byte for byte.
+  Scenario s;
+  s.scheme = parse_scheme_spec("sack-droptail");
+  EXPECT_EQ(to_json(s).find("scheme")->as_string(), "sack");
+  s.scheme = parse_scheme_spec("pert-pi");
+  EXPECT_EQ(to_json(s).find("scheme")->as_string(), "pert-pi");
+  // Bundles written with the second spelling of SACK/DropTail still load.
+  const Scenario legacy = scenario_from_json(
+      runner::JsonValue::parse(R"({"seed": 3, "scheme": "sack-droptail"})"));
+  EXPECT_EQ(legacy.scheme, parse_scheme_spec("sack"));
 }
 
 TEST(FuzzScenario, ConfigMaterialization) {
@@ -105,9 +135,9 @@ TEST(FuzzOracle, InapplicableScenariosAreGated) {
   s.loss_p = 0.01;
   EXPECT_FALSE(check_against_fluid(s, WindowMetrics{}).applicable);
   s.loss_p = 0;
-  s.scheme = Scheme::kSackDroptail;
+  s.scheme = parse_scheme_spec("sack");
   EXPECT_FALSE(check_against_fluid(s, WindowMetrics{}).applicable);
-  s.scheme = Scheme::kPert;
+  s.scheme = parse_scheme_spec("pert");
   s.num_fwd_flows = 2;
   EXPECT_FALSE(check_against_fluid(s, WindowMetrics{}).applicable);
   s.num_fwd_flows = 8;

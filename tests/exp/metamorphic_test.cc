@@ -77,7 +77,7 @@ TEST(ScenarioJson, RoundTripsFlapFields) {
 Scenario small_pert_scenario() {
   Scenario s;
   s.seed = 99;
-  s.scheme = Scheme::kPert;
+  s.scheme = parse_scheme_spec("pert");
   s.bottleneck_bps = 8e6;
   s.rtt = 0.05;
   s.num_fwd_flows = 4;
@@ -104,7 +104,7 @@ TEST(MetamorphicRelations, RescaleGuardExcludesNonScaleFreeSchemes) {
   // The router-side PI discretization re-derives gains from the link rate,
   // so the k = 2 rescale identity does not apply to it.
   Scenario s = small_pert_scenario();
-  s.scheme = Scheme::kPertPi;
+  s.scheme = parse_scheme_spec("pert-pi");
   for (const RelationResult& r : check_relations(s))
     if (r.relation == "rescale") EXPECT_FALSE(r.applicable);
 }

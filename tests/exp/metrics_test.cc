@@ -9,7 +9,7 @@ namespace {
 
 TEST(Metrics, GoodputsSumToAggregate) {
   DumbbellConfig cfg;
-  cfg.scheme = Scheme::kSackDroptail;
+  cfg.scheme = parse_scheme_spec("sack");
   cfg.bottleneck_bps = 20e6;
   cfg.num_fwd_flows = 5;
   cfg.start_window = 2.0;
@@ -23,7 +23,7 @@ TEST(Metrics, GoodputsSumToAggregate) {
 
 TEST(Metrics, GoodputBoundedByUtilization) {
   DumbbellConfig cfg;
-  cfg.scheme = Scheme::kPert;
+  cfg.scheme = parse_scheme_spec("pert");
   cfg.bottleneck_bps = 20e6;
   cfg.num_fwd_flows = 5;
   cfg.start_window = 2.0;
@@ -39,7 +39,7 @@ TEST(Metrics, GoodputBoundedByUtilization) {
 
 TEST(Metrics, NormalizedQueueConsistent) {
   DumbbellConfig cfg;
-  cfg.scheme = Scheme::kSackDroptail;
+  cfg.scheme = parse_scheme_spec("sack");
   cfg.bottleneck_bps = 20e6;
   cfg.num_fwd_flows = 8;
   cfg.buffer_pkts = 200;
@@ -52,7 +52,7 @@ TEST(Metrics, NormalizedQueueConsistent) {
 
 TEST(Metrics, WindowDurationRecorded) {
   DumbbellConfig cfg;
-  cfg.scheme = Scheme::kPert;
+  cfg.scheme = parse_scheme_spec("pert");
   cfg.bottleneck_bps = 20e6;
   cfg.num_fwd_flows = 2;
   cfg.seed = 6;

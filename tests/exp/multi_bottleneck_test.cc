@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+
+#include "scheme_param.h"
 
 namespace pert::exp {
 namespace {
 
-MultiBottleneckConfig small(Scheme s) {
+MultiBottleneckConfig small(std::string_view scheme) {
   MultiBottleneckConfig cfg;
-  cfg.scheme = s;
+  cfg.scheme = parse_scheme_spec(scheme);
   cfg.num_routers = 4;
   cfg.hosts_per_cloud = 5;
   cfg.router_link_bps = 20e6;
@@ -20,7 +23,7 @@ MultiBottleneckConfig small(Scheme s) {
 }
 
 TEST(MultiBottleneck, AllHopsCarryTraffic) {
-  MultiBottleneck mb(small(Scheme::kPert));
+  MultiBottleneck mb(small("pert"));
   const auto hops = mb.measure_window(8.0, 10.0);
   ASSERT_EQ(hops.size(), 3u);
   for (const auto& h : hops) {
@@ -32,9 +35,9 @@ TEST(MultiBottleneck, AllHopsCarryTraffic) {
 }
 
 TEST(MultiBottleneck, PertKeepsQueuesLowOnEveryHop) {
-  const auto pert_hops = MultiBottleneck(small(Scheme::kPert)).measure_window(8.0, 12.0);
+  const auto pert_hops = MultiBottleneck(small("pert")).measure_window(8.0, 12.0);
   const auto dt_hops =
-      MultiBottleneck(small(Scheme::kSackDroptail)).measure_window(8.0, 12.0);
+      MultiBottleneck(small("sack")).measure_window(8.0, 12.0);
   double pert_q = 0, dt_q = 0;
   for (const auto& h : pert_hops) pert_q += h.norm_queue;
   for (const auto& h : dt_hops) dt_q += h.norm_queue;
@@ -44,15 +47,15 @@ TEST(MultiBottleneck, PertKeepsQueuesLowOnEveryHop) {
 TEST(MultiBottleneck, LongHaulFlowsTraverseAllHops) {
   // With the long-haul group present, the last hop carries both its own
   // one-hop traffic and the end-to-end flows; utilization reflects that.
-  MultiBottleneck mb(small(Scheme::kSackDroptail));
+  MultiBottleneck mb(small("sack"));
   const auto hops = mb.measure_window(8.0, 10.0);
   EXPECT_GT(hops.back().utilization, 0.5);
 }
 
-class MbSchemeSweep : public ::testing::TestWithParam<Scheme> {};
+class MbSchemeSweep : public ::testing::TestWithParam<SchemeParam> {};
 
 TEST_P(MbSchemeSweep, EveryRegisteredSchemeRunsOnTheChain) {
-  MultiBottleneckConfig cfg = small(GetParam());
+  MultiBottleneckConfig cfg = small(GetParam().alias());
   MultiBottleneck mb(cfg);
   const auto hops = mb.measure_window(8.0, 8.0);
   for (const auto& h : hops) {
@@ -63,17 +66,12 @@ TEST_P(MbSchemeSweep, EveryRegisteredSchemeRunsOnTheChain) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schemes, MbSchemeSweep,
-    ::testing::Values(Scheme::kSackRemEcn, Scheme::kSackAvqEcn,
-                      Scheme::kPertRem, Scheme::kPertPi),
-    [](const auto& pinfo) {
-      std::string n{to_string(pinfo.param)};
-      for (char& c : n)
-        if (c == '/' || c == '-') c = '_';
-      return n;
-    });
+    ::testing::Values(scheme_param("sack-rem"), scheme_param("sack-avq"),
+                      scheme_param("pert-rem"), scheme_param("pert-pi")),
+    scheme_param_name);
 
 TEST(MultiBottleneck, SixRouterPaperTopologyRuns) {
-  MultiBottleneckConfig cfg = small(Scheme::kPert);
+  MultiBottleneckConfig cfg = small("pert");
   cfg.num_routers = 6;
   cfg.hosts_per_cloud = 4;
   MultiBottleneck mb(cfg);

@@ -3,15 +3,17 @@
 // If any of these breaks, the reproduction story breaks.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "exp/dumbbell.h"
 #include "exp/multi_bottleneck.h"
 
 namespace pert::exp {
 namespace {
 
-DumbbellConfig base(Scheme s, double bw) {
+DumbbellConfig base(std::string_view scheme, double bw) {
   DumbbellConfig cfg;
-  cfg.scheme = s;
+  cfg.scheme = parse_scheme_spec(scheme);
   cfg.bottleneck_bps = bw;
   cfg.rtt = 0.060;
   cfg.num_fwd_flows = 10;
@@ -26,9 +28,9 @@ TEST_P(BandwidthShape, PertTracksRedEcnQueueAndDrops) {
   // Figure 6 claim: PERT's queue ~ RED-ECN's, both << DropTail; PERT has
   // no drops where DropTail does.
   const double bw = GetParam();
-  const auto pert = Dumbbell(base(Scheme::kPert, bw)).measure_window(15, 25);
-  const auto red = Dumbbell(base(Scheme::kSackRedEcn, bw)).measure_window(15, 25);
-  const auto dt = Dumbbell(base(Scheme::kSackDroptail, bw)).measure_window(15, 25);
+  const auto pert = Dumbbell(base("pert", bw)).measure_window(15, 25);
+  const auto red = Dumbbell(base("sack-red", bw)).measure_window(15, 25);
+  const auto dt = Dumbbell(base("sack", bw)).measure_window(15, 25);
   EXPECT_LT(pert.avg_queue_pkts, 0.6 * dt.avg_queue_pkts);
   EXPECT_LT(pert.avg_queue_pkts, 3.0 * red.avg_queue_pkts + 10.0);
   EXPECT_LE(pert.drop_rate, dt.drop_rate + 1e-9);
@@ -39,15 +41,15 @@ INSTANTIATE_TEST_SUITE_P(Bandwidths, BandwidthShape,
 
 TEST(PaperShapes, VegasQueueGrowsWithFlowCountPertDoesNot) {
   // Figure 8 claim.
-  auto run = [&](Scheme s, int flows) {
+  auto run = [&](std::string_view s, int flows) {
     DumbbellConfig cfg = base(s, 30e6);
     cfg.num_fwd_flows = flows;
     return Dumbbell(cfg).measure_window(15, 25);
   };
-  const double vegas_small = run(Scheme::kVegas, 5).avg_queue_pkts;
-  const double vegas_big = run(Scheme::kVegas, 40).avg_queue_pkts;
-  const double pert_small = run(Scheme::kPert, 5).avg_queue_pkts;
-  const double pert_big = run(Scheme::kPert, 40).avg_queue_pkts;
+  const double vegas_small = run("vegas", 5).avg_queue_pkts;
+  const double vegas_big = run("vegas", 40).avg_queue_pkts;
+  const double pert_small = run("pert", 5).avg_queue_pkts;
+  const double pert_big = run("pert", 40).avg_queue_pkts;
   EXPECT_GT(vegas_big, 3.0 * vegas_small);   // Vegas: ~alpha..beta per flow
   EXPECT_LT(pert_big, pert_small * 3.0 + 30.0);  // PERT: stays low
   EXPECT_LT(pert_big, vegas_big);
@@ -55,8 +57,8 @@ TEST(PaperShapes, VegasQueueGrowsWithFlowCountPertDoesNot) {
 
 TEST(PaperShapes, PertFairerThanVegas) {
   // Figures 6/8 claim: PERT jain ~ 1, Vegas jain low (late-comer bias).
-  const auto pert = Dumbbell(base(Scheme::kPert, 30e6)).measure_window(15, 30);
-  DumbbellConfig vc = base(Scheme::kVegas, 30e6);
+  const auto pert = Dumbbell(base("pert", 30e6)).measure_window(15, 30);
+  DumbbellConfig vc = base("vegas", 30e6);
   vc.start_window = 20.0;  // staggered starts expose Vegas' base-RTT bias
   const auto vegas = Dumbbell(vc).measure_window(25, 30);
   EXPECT_GT(pert.jain, 0.95);
@@ -67,21 +69,21 @@ TEST(PaperShapes, PertReducesRttUnfairness) {
   // Table 1 claim, at the bench's (reduced) scale: 10 flows with RTTs
   // 12..120 ms. Short windows with few flows are noisy, so use the same
   // population and a long window.
-  auto run = [&](Scheme s) {
+  auto run = [&](std::string_view s) {
     DumbbellConfig cfg = base(s, 100e6);
     cfg.num_fwd_flows = 10;
     cfg.flow_rtts.clear();
     for (int i = 1; i <= 10; ++i) cfg.flow_rtts.push_back(0.012 * i);
     return Dumbbell(cfg).measure_window(25, 60);
   };
-  const auto pert = run(Scheme::kPert);
-  const auto sack = run(Scheme::kSackDroptail);
+  const auto pert = run("pert");
+  const auto sack = run("sack");
   EXPECT_GT(pert.jain, sack.jain);
 }
 
 TEST(PaperShapes, EmulationNeedsNoRouterSupport) {
   // The core thesis: PERT achieves RED-ECN-like queues over *DropTail*.
-  DumbbellConfig cfg = base(Scheme::kPert, 30e6);
+  DumbbellConfig cfg = base("pert", 30e6);
   Dumbbell d(cfg);
   const auto m = d.measure_window(15, 30);
   EXPECT_EQ(m.ecn_marks, 0u);        // nothing marked anything
@@ -93,7 +95,7 @@ TEST(PaperShapes, EmulationNeedsNoRouterSupport) {
 TEST(PaperShapes, MultiBottleneckLowQueuesEveryHop) {
   // Figure 11 claim.
   MultiBottleneckConfig cfg;
-  cfg.scheme = Scheme::kPert;
+  cfg.scheme = parse_scheme_spec("pert");
   cfg.num_routers = 4;
   cfg.hosts_per_cloud = 5;
   cfg.router_link_bps = 20e6;
@@ -109,7 +111,7 @@ TEST(PaperShapes, MultiBottleneckLowQueuesEveryHop) {
 TEST(PaperShapes, DynamicArrivalsConvergeQuickly) {
   // Figure 12 claim: after 2x flows join, the old cohort's share halves
   // within a couple of measurement bins.
-  DumbbellConfig cfg = base(Scheme::kPert, 30e6);
+  DumbbellConfig cfg = base("pert", 30e6);
   cfg.num_fwd_flows = 5;
   cfg.start_window = 1.0;
   Dumbbell d(cfg);

@@ -17,7 +17,7 @@ namespace {
 
 DumbbellConfig dumbbell_cfg(std::int32_t threads) {
   DumbbellConfig c;
-  c.scheme = Scheme::kPert;
+  c.scheme = parse_scheme_spec("pert");
   c.bottleneck_bps = 20e6;
   c.rtt = 0.060;
   c.num_fwd_flows = 12;  // > kFlowShards: several flows share a shard
@@ -60,7 +60,7 @@ TEST(PdesDeterminism, DumbbellMixedSchemesStayDeterministic) {
 
 MultiBottleneckConfig chain_cfg(std::int32_t threads) {
   MultiBottleneckConfig c;
-  c.scheme = Scheme::kPert;
+  c.scheme = parse_scheme_spec("pert");
   c.num_routers = 3;
   c.hosts_per_cloud = 3;
   c.router_link_bps = 20e6;

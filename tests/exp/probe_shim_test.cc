@@ -17,7 +17,7 @@ namespace {
 
 DumbbellConfig small() {
   DumbbellConfig cfg;
-  cfg.scheme = Scheme::kPert;
+  cfg.scheme = parse_scheme_spec("pert");
   cfg.num_fwd_flows = 2;
   cfg.bottleneck_bps = 10e6;
   cfg.rtt = 0.04;

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "exp/scheme.h"
 
@@ -49,33 +50,29 @@ TEST(Fmt, FormatsWithSpec) {
 }
 
 TEST(Scheme, NamesAreUniqueAndStable) {
-  const Scheme all[] = {Scheme::kSackDroptail, Scheme::kSackRedEcn,
-                        Scheme::kSackPiEcn,    Scheme::kSackRemEcn,
-                        Scheme::kSackAvqEcn,   Scheme::kVegas,
-                        Scheme::kPert,         Scheme::kPertPi,
-                        Scheme::kPertRem};
-  std::set<std::string_view> names;
-  for (Scheme s : all) {
-    const auto n = to_string(s);
-    EXPECT_NE(n, "?");
-    EXPECT_TRUE(names.insert(n).second) << "duplicate name " << n;
+  // The nine paper schemes are the first nine alias rows; their display
+  // labels key every table, job and journal grid hash.
+  std::set<std::string> names;
+  for (const SchemeAlias& a : scheme_aliases().first(9)) {
+    const SchemeSpec s = parse_scheme_spec(a.alias);
+    EXPECT_EQ(s.display, a.display);
+    EXPECT_TRUE(names.insert(s.display).second)
+        << "duplicate name " << s.display;
   }
 }
 
 TEST(Scheme, RouterAqmClassification) {
-  EXPECT_TRUE(router_aqm(Scheme::kSackRedEcn));
-  EXPECT_TRUE(router_aqm(Scheme::kSackPiEcn));
-  EXPECT_TRUE(router_aqm(Scheme::kSackRemEcn));
-  EXPECT_TRUE(router_aqm(Scheme::kSackAvqEcn));
-  EXPECT_FALSE(router_aqm(Scheme::kPert));
-  EXPECT_FALSE(router_aqm(Scheme::kPertPi));
-  EXPECT_FALSE(router_aqm(Scheme::kPertRem));
-  EXPECT_FALSE(router_aqm(Scheme::kVegas));
-  EXPECT_FALSE(router_aqm(Scheme::kSackDroptail));
-  // ECN-capable senders exactly where the router marks.
-  for (Scheme s : {Scheme::kSackRedEcn, Scheme::kSackPiEcn})
-    EXPECT_TRUE(sender_ecn(s));
-  EXPECT_FALSE(sender_ecn(Scheme::kPert));
+  for (const char* name : {"sack-red", "sack-pi", "sack-rem", "sack-avq"}) {
+    const SchemeSpec s = parse_scheme_spec(name);
+    EXPECT_TRUE(s.router_aqm()) << name;
+    // ECN-capable senders exactly where the router marks.
+    EXPECT_TRUE(s.ecn) << name;
+  }
+  for (const char* name : {"pert", "pert-pi", "pert-rem", "vegas", "sack"}) {
+    const SchemeSpec s = parse_scheme_spec(name);
+    EXPECT_FALSE(s.router_aqm()) << name;
+    EXPECT_FALSE(s.ecn) << name;
+  }
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ namespace {
 
 exp::DumbbellConfig traced_dumbbell() {
   exp::DumbbellConfig cfg;
-  cfg.scheme = exp::Scheme::kPert;
+  cfg.scheme = exp::parse_scheme_spec("pert");
   cfg.num_fwd_flows = 2;
   cfg.bottleneck_bps = 10e6;  // congested enough for early responses
   cfg.rtt = 0.04;

@@ -12,7 +12,7 @@ namespace {
 
 TEST(PredictorPipeline, RecordsClassifiesAndRoundTrips) {
   exp::DumbbellConfig cfg;
-  cfg.scheme = exp::Scheme::kSackDroptail;
+  cfg.scheme = exp::parse_scheme_spec("sack");
   cfg.bottleneck_bps = 20e6;
   cfg.rtt = 0.060;
   cfg.num_fwd_flows = 6;
@@ -53,7 +53,7 @@ TEST(PredictorPipeline, RecordsClassifiesAndRoundTrips) {
 TEST(PredictorPipeline, QueueLevelBeatsFlowLevelForSmoothedSignal) {
   // Figure 2's claim as an invariant on a live trace.
   exp::DumbbellConfig cfg;
-  cfg.scheme = exp::Scheme::kSackDroptail;
+  cfg.scheme = exp::parse_scheme_spec("sack");
   cfg.bottleneck_bps = 20e6;
   cfg.rtt = 0.060;
   cfg.num_fwd_flows = 10;

@@ -112,11 +112,11 @@ TEST(Runner, TelemetryAccumulates) {
 // however many workers execute it.
 TEST(Runner, DumbbellGridIdenticalFor1And2And8Threads) {
   const std::vector<double> flow_counts = {2, 4};
-  const std::vector<exp::Scheme> schemes = {exp::Scheme::kPert,
-                                            exp::Scheme::kSackDroptail};
+  const std::vector<exp::SchemeSpec> schemes =
+      exp::parse_scheme_list("pert,sack");
   std::vector<Job> jobs;
   for (double n : flow_counts) {
-    for (exp::Scheme s : schemes) {
+    for (const exp::SchemeSpec& s : schemes) {
       exp::DumbbellConfig cfg;
       cfg.scheme = s;
       cfg.bottleneck_bps = 10e6;
@@ -125,7 +125,7 @@ TEST(Runner, DumbbellGridIdenticalFor1And2And8Threads) {
       cfg.start_window = 1.0;
       Job job;
       job.key = "grid/flows=" + std::to_string(static_cast<int>(n)) + "/" +
-                std::string(exp::to_string(s));
+                s.display;
       job.seed = derive_seed(cfg.seed, job.key);
       cfg.seed = job.seed;
       job.run = [cfg](const Job&) {

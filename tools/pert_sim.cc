@@ -48,7 +48,7 @@ void print_banner(const exp::CliOptions& opt, const exp::SchemeSpec& scheme,
                   std::int32_t buffer_pkts) {
   std::printf("scheme=%s bw=%.0f rtt=%.0fms flows=%d web=%d buffer=%d "
               "window=[%.0f,%.0f]s\n\n",
-              std::string(exp::to_string(scheme)).c_str(),
+              scheme.display.c_str(),
               opt.cfg.bottleneck_bps, opt.cfg.rtt * 1e3,
               opt.cfg.num_fwd_flows, opt.cfg.num_web_sessions, buffer_pkts,
               opt.warmup, opt.warmup + opt.measure);
@@ -70,7 +70,7 @@ void print_metrics(const exp::WindowMetrics& m) {
   t.print();
 }
 
-/// `pert_sim schemes`: dumps both registries plus the legacy paper names,
+/// `pert_sim schemes`: dumps both registries plus the paper scheme names,
 /// so a user can see what scheme=<cc>/<qdisc> combinations are available.
 int list_schemes() {
   exp::ensure_scheme_modules();
@@ -84,10 +84,11 @@ int list_schemes() {
   for (const net::QdiscInfo& m : net::QdiscRegistry::instance().list())
     qd.row({m.name, m.marks_ecn ? "yes" : "no", m.summary});
   qd.print();
+  std::printf("\npaper scheme names:");
+  for (const exp::SchemeAlias& a : exp::scheme_aliases())
+    std::printf(" %.*s", static_cast<int>(a.alias.size()), a.alias.data());
   std::printf(
-      "\nlegacy paper scheme names: pert pert-pi pert-rem vegas sack\n"
-      "  sack-droptail sack-red sack-pi sack-rem sack-avq\n"
-      "free-form combinations take an optional +ecn/-ecn suffix, e.g.\n"
+      "\nfree-form combinations take an optional +ecn/-ecn suffix, e.g.\n"
       "  scheme=cubic/codel  scheme=dctcp/red+ecn  scheme=sack/pie-ecn\n");
   return 0;
 }
@@ -178,10 +179,9 @@ int run_single(const exp::CliOptions& opt, const std::string& json_out) {
       report.threads = 1;
       report.wall_ms = report.cpu_ms = wall_ms;
       runner::JobResult r;
-      r.key = std::string("pert_sim/scheme=") +
-              std::string(exp::to_string(opt.cfg.scheme));
+      r.key = "pert_sim/scheme=" + opt.cfg.scheme.display;
       r.seed = opt.cfg.seed;
-      r.tags = {{"scheme", std::string(exp::to_string(opt.cfg.scheme))}};
+      r.tags = {{"scheme", opt.cfg.scheme.display}};
       r.metrics = m;
       r.events = d.network().sched().dispatched();
       r.wall_ms = wall_ms;
@@ -215,13 +215,12 @@ int run_multi(const exp::CliOptions& opt, unsigned jobs,
     exp::DumbbellConfig cfg = opt.cfg;
     cfg.scheme = opt.schemes[i];
     runner::Job job;
-    job.key = std::string("pert_sim/scheme=") +
-              std::string(exp::to_string(cfg.scheme));
+    job.key = "pert_sim/scheme=" + cfg.scheme.display;
     job.seed = cfg.seed;  // same base seed per scheme, as if run one at a time
-    job.tags = {{"scheme", std::string(exp::to_string(cfg.scheme))}};
+    job.tags = {{"scheme", cfg.scheme.display}};
     // Per-job observability outputs: trace=/metrics= paths get the scheme
     // name spliced in so parallel jobs never write to the same file.
-    const std::string scheme_tag(exp::to_string(cfg.scheme));
+    const std::string scheme_tag(cfg.scheme.display);
     std::string trace_json = opt.trace_json.empty()
                                  ? std::string()
                                  : tagged_path(opt.trace_json, scheme_tag);
