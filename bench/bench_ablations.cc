@@ -10,6 +10,7 @@
 // batch for the experiment runner (--jobs N runs cells concurrently); the
 // section tables print from the collected results in the original order.
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,7 +18,7 @@
 #include "common.h"
 #include "exp/dumbbell.h"
 #include "exp/table.h"
-#include "runner/seed.h"
+#include "sweep.h"
 
 namespace {
 
@@ -55,25 +56,16 @@ int main(int argc, char** argv) {
 
   std::vector<runner::Job> jobs;
   std::vector<Section> sections;
-  // Queues one ablation cell: derives its seed from the base seed and the
-  // section/label key, and records it under the current section.
-  auto add_cell = [&](const std::string& label, exp::DumbbellConfig cfg) {
+  // Queues one ablation cell (seed derived from the base seed and the
+  // section/label key) under the current section.
+  auto add_cell = [&](const std::string& label,
+                      const exp::DumbbellConfig& cfg) {
     Section& sec = sections.back();
-    runner::Job job;
-    job.key = "ablations/" + sec.title + "/" + label;
-    job.seed = runner::derive_seed(cfg.seed, job.key);
-    job.tags = {{"x", label}, {"scheme", sec.title}};
-    cfg.seed = job.seed;
-    job.run = [cfg, warmup, measure](const runner::Job&) {
-      exp::Dumbbell d(cfg);
-      runner::JobOutput out;
-      out.metrics = d.measure_window(warmup, measure);
-      out.events = d.network().sched().dispatched();
-      return out;
-    };
     sec.labels.push_back(label);
     sec.cells.push_back(jobs.size());
-    jobs.push_back(std::move(job));
+    jobs.push_back(bench::dumbbell_job("ablations/" + sec.title + "/" + label,
+                                       {{"x", label}, {"scheme", sec.title}},
+                                       cfg, warmup, measure, opt.trace_dir));
   };
 
   sections.push_back({"early-response decrease factor (paper uses 0.35)",
@@ -137,16 +129,22 @@ int main(int argc, char** argv) {
     add_cell(adaptive ? "adaptive" : "fixed 0.05", cfg);
   }
 
-  runner::RunnerOptions ropts = opt.runner();
-  ropts.name = "ablations";
-  const runner::RunReport report = runner::ExperimentRunner(ropts).run(jobs);
+  const std::optional<runner::RunReport> report =
+      opt.run(jobs, "ablations");
+  if (!report) return 0;
 
+  const std::vector<const runner::JobResult*> by_cell = report->by_cell();
   for (const Section& sec : sections) {
     std::printf("-- %s --\n", sec.title.c_str());
     exp::Table t({sec.label_header, "avg queue (pkts)", "drop rate", "util (%)",
                   "jain", "early responses"});
     for (std::size_t i = 0; i < sec.cells.size(); ++i) {
-      const exp::WindowMetrics& m = report.results[sec.cells[i]].metrics;
+      const runner::JobResult* r = by_cell[sec.cells[i]];
+      if (r == nullptr) {
+        t.row({sec.labels[i], "-", "-", "-", "-", "-"});
+        continue;
+      }
+      const exp::WindowMetrics& m = r->metrics;
       t.row({sec.labels[i], exp::fmt(m.avg_queue_pkts, "%.1f"),
              exp::fmt(m.drop_rate, "%.2e"),
              exp::fmt(100 * m.utilization, "%.1f"), exp::fmt(m.jain, "%.3f"),

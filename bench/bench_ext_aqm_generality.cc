@@ -10,6 +10,7 @@
 // Cell keys are "ext_aqm/cc=<cc>/qdisc=<qdisc>" and each cell's seed is
 // derived from the key, so the grid is bit-identical for any --jobs value.
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,7 @@
 #include "exp/dumbbell.h"
 #include "exp/scheme.h"
 #include "exp/table.h"
-#include "runner/runner.h"
-#include "runner/seed.h"
+#include "sweep.h"
 
 int main(int argc, char** argv) {
   using namespace pert;
@@ -55,38 +55,23 @@ int main(int argc, char** argv) {
     cfg.start_window = opt.full ? 50.0 : 5.0;
     cfg.seed = 31;
     cfg.sim_threads = static_cast<std::int32_t>(opt.sim_threads);
-    runner::Job job;
-    job.key = "ext_aqm/cc=" + s.cc + "/qdisc=" + s.qdisc;
-    job.seed = runner::derive_seed(cfg.seed, job.key);
-    job.tags = {{"cc", s.cc}, {"qdisc", s.qdisc}};
-    cfg.seed = job.seed;
-    const std::pair<double, double> win =
-        opt.full ? std::pair{100.0, 200.0}
-        : opt.smoke ? std::pair{5.0, 10.0}
-                    : std::pair{20.0, 60.0};
-    job.run = [cfg, win](const runner::Job& cell) mutable {
-      cfg.watchdog.cancel = cell.cancel.flag();
-      exp::Dumbbell d(cfg);
-      runner::JobOutput out;
-      out.metrics = d.measure_window(win.first, win.second);
-      out.events = d.network().total_dispatched();
-      out.registry = d.obs().registry();
-      return out;
-    };
-    jobs.push_back(std::move(job));
+    const auto [warmup, measure] = opt.full    ? std::pair{100.0, 200.0}
+                                   : opt.smoke ? std::pair{5.0, 10.0}
+                                               : std::pair{20.0, 60.0};
+    jobs.push_back(bench::dumbbell_job(
+        "ext_aqm/cc=" + s.cc + "/qdisc=" + s.qdisc,
+        {{"cc", s.cc}, {"qdisc", s.qdisc}}, cfg, warmup, measure,
+        opt.trace_dir));
   }
 
-  runner::RunnerOptions ropts = opt.runner();
-  ropts.name = "ext_aqm_generality";
-  const runner::RunReport report = runner::ExperimentRunner(ropts).run(jobs);
+  const std::optional<runner::RunReport> report =
+      opt.run(jobs, "ext_aqm_generality");
+  if (!report) return 0;
 
   exp::Table t({"scheme", "where", "avg queue (pkts)", "drop rate",
                 "ECN marks", "util (%)", "jain", "early resp."});
-  // Map results back to grid cells by index (under --shard only this
-  // shard's cells ran; absent cells print as "-").
-  std::vector<const runner::JobResult*> by_cell(cells.size(), nullptr);
-  for (const runner::JobResult& r : report.results)
-    if (r.cell < by_cell.size()) by_cell[r.cell] = &r;
+  // Under --shard only this shard's cells ran; absent cells print as "-".
+  const std::vector<const runner::JobResult*> by_cell = report->by_cell();
   int rc = 0;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const exp::SchemeSpec& s = cells[i];

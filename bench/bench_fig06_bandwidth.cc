@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     spec.xs = {1e6, 5e6, 25e6, 100e6, 250e6};
   for (double bw : spec.xs)
     spec.x_labels.push_back(exp::fmt(bw / 1e6, "%g Mbps"));
-  spec.schemes = exp::parse_scheme_list("pert,sack,sack-red,vegas");
+  spec.schemes = opt.schemes_or("pert,sack,sack-red,vegas");
   spec.config = [&](double bw, const exp::SchemeSpec& s) {
     exp::DumbbellConfig cfg;
     cfg.scheme = s;
@@ -39,6 +39,6 @@ int main(int argc, char** argv) {
   spec.window = [&](double) {
     return opt.full ? std::pair{100.0, 200.0} : std::pair{25.0, 50.0};
   };
-  opt.export_report(bench::run_dumbbell_sweep(spec, opt.runner(), opt.trace_dir, opt.worker));
+  opt.export_report(bench::run_dumbbell_sweep(spec, opt));
   return 0;
 }

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
                 ? std::vector<double>{0.010, 0.030, 0.060, 0.100, 0.300, 1.0}
                 : std::vector<double>{0.010, 0.030, 0.060, 0.100, 0.300};
   for (double r : spec.xs) spec.x_labels.push_back(exp::fmt(r * 1e3, "%g ms"));
-  spec.schemes = exp::parse_scheme_list("pert,sack,sack-red,vegas");
+  spec.schemes = opt.schemes_or("pert,sack,sack-red,vegas");
   const double bw = opt.full ? 150e6 : 100e6;
   spec.config = [&](double rtt, const exp::SchemeSpec& s) {
     exp::DumbbellConfig cfg;
@@ -38,6 +38,6 @@ int main(int argc, char** argv) {
     const double meas = std::max(opt.full ? 200.0 : 40.0, 60.0 * rtt);
     return std::pair{warm, meas};
   };
-  opt.export_report(bench::run_dumbbell_sweep(spec, opt.runner(), opt.trace_dir, opt.worker));
+  opt.export_report(bench::run_dumbbell_sweep(spec, opt));
   return 0;
 }

@@ -40,6 +40,6 @@ int main(int argc, char** argv) {
            : opt.full ? std::pair{100.0, 200.0}
                       : std::pair{20.0, 40.0};
   };
-  opt.export_report(bench::run_dumbbell_sweep(spec, opt.runner(), opt.trace_dir, opt.worker));
+  opt.export_report(bench::run_dumbbell_sweep(spec, opt));
   return 0;
 }

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   spec.xs = opt.full ? std::vector<double>{10, 50, 100, 400, 1000}
                      : std::vector<double>{10, 50, 100, 250};
   for (double n : spec.xs) spec.x_labels.push_back(exp::fmt(n, "%g"));
-  spec.schemes = exp::parse_scheme_list("pert,sack,sack-red,vegas");
+  spec.schemes = opt.schemes_or("pert,sack,sack-red,vegas");
   const double bw = opt.full ? 150e6 : 100e6;
   spec.config = [&](double n, const exp::SchemeSpec& s) {
     exp::DumbbellConfig cfg;
@@ -36,6 +36,6 @@ int main(int argc, char** argv) {
   spec.window = [&](double) {
     return opt.full ? std::pair{100.0, 200.0} : std::pair{20.0, 40.0};
   };
-  opt.export_report(bench::run_dumbbell_sweep(spec, opt.runner(), opt.trace_dir, opt.worker));
+  opt.export_report(bench::run_dumbbell_sweep(spec, opt));
   return 0;
 }

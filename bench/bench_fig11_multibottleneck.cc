@@ -6,15 +6,29 @@
 // utilization comparable to SACK/RED-ECN.
 //
 // Each scheme is one runner::Job (its own Scheduler and chain topology), so
-// --jobs 4 runs all four schemes concurrently; per-hop tables print from the
-// collected results in scheme order. The per-scheme JSON metrics carry the
-// hop averages; the full hop tables stay on stdout.
+// --jobs 4 runs all four schemes concurrently. A job reports its hop
+// averages as the scalar metrics and every hop's numbers as window.hop<h>.*
+// gauges in its registry; the per-hop tables print from those, so cells
+// recovered by --resume print the same tables as executed ones.
+#include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common.h"
 #include "exp/multi_bottleneck.h"
 #include "exp/table.h"
 #include "runner/seed.h"
+#include "sweep.h"
+
+namespace {
+
+/// Registry name of hop `h`'s metric `what` (MultiBottleneck's naming).
+std::string hop_metric(std::size_t h, const char* what) {
+  return "window.hop" + std::to_string(h) + "." + what;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace pert;
@@ -24,17 +38,14 @@ int main(int argc, char** argv) {
              "fairness maintained");
 
   const std::vector<exp::SchemeSpec> schemes =
-      exp::parse_scheme_list("pert,sack,sack-red,vegas");
-
-  // Per-hop results come back through a side channel: each job writes only
-  // its own pre-sized slot, so no synchronization is needed beyond join.
-  std::vector<std::vector<exp::HopMetrics>> hops(schemes.size());
+      opt.schemes_or("pert,sack,sack-red,vegas");
+  const std::int32_t num_routers = 6;
 
   std::vector<runner::Job> jobs;
   for (std::size_t j = 0; j < schemes.size(); ++j) {
     exp::MultiBottleneckConfig cfg;
     cfg.scheme = schemes[j];
-    cfg.num_routers = 6;
+    cfg.num_routers = num_routers;
     cfg.hosts_per_cloud = opt.smoke ? 4 : opt.full ? 20 : 10;
     cfg.router_link_bps = opt.smoke ? 50e6 : opt.full ? 150e6 : 100e6;
     cfg.router_link_delay = 0.005;
@@ -50,19 +61,30 @@ int main(int argc, char** argv) {
     job.seed = runner::derive_seed(11, job.key);
     job.tags = {{"scheme", schemes[j].display}};
     cfg.seed = job.seed;
-    job.run = [cfg, warmup, measure, &slot = hops[j]](const runner::Job&) {
+    const std::string trace_path =
+        bench::cell_trace(cfg.obs, opt.trace_dir, job.key);
+    job.run = [cfg, warmup, measure, trace_path](const runner::Job&) {
       exp::MultiBottleneck mb(cfg);
-      slot = mb.measure_window(warmup, measure);
+      const std::vector<exp::HopMetrics> hops =
+          mb.measure_window(warmup, measure);
+      bench::write_cell_trace(mb.obs().tracer(), trace_path);
       runner::JobOutput out;
       out.events = mb.network().total_dispatched();
-      // Report hop averages as the job's scalar metrics (tables below carry
-      // the full per-hop detail).
-      for (const exp::HopMetrics& h : slot) {
-        out.metrics.avg_queue_pkts += h.avg_queue_pkts / slot.size();
-        out.metrics.norm_queue += h.norm_queue / slot.size();
-        out.metrics.drop_rate += h.drop_rate / slot.size();
-        out.metrics.utilization += h.utilization / slot.size();
-        out.metrics.jain += h.jain / slot.size();
+      // Hop averages are the job's scalar metrics; the registry carries
+      // every hop for the tables below.
+      for (std::size_t h = 0; h < hops.size(); ++h) {
+        const exp::HopMetrics& m = hops[h];
+        out.metrics.avg_queue_pkts += m.avg_queue_pkts / hops.size();
+        out.metrics.norm_queue += m.norm_queue / hops.size();
+        out.metrics.drop_rate += m.drop_rate / hops.size();
+        out.metrics.utilization += m.utilization / hops.size();
+        out.metrics.jain += m.jain / hops.size();
+        out.registry.gauge(hop_metric(h, "avg_queue_pkts"))
+            .set(m.avg_queue_pkts);
+        out.registry.gauge(hop_metric(h, "norm_queue")).set(m.norm_queue);
+        out.registry.gauge(hop_metric(h, "drop_rate")).set(m.drop_rate);
+        out.registry.gauge(hop_metric(h, "utilization")).set(m.utilization);
+        out.registry.gauge(hop_metric(h, "jain")).set(m.jain);
       }
       out.metrics.duration = measure;
       return out;
@@ -70,21 +92,34 @@ int main(int argc, char** argv) {
     jobs.push_back(std::move(job));
   }
 
-  runner::RunnerOptions ropts = opt.runner();
-  ropts.name = "fig11_multibottleneck";
-  const runner::RunReport report = runner::ExperimentRunner(ropts).run(jobs);
+  const std::optional<runner::RunReport> report =
+      opt.run(jobs, "fig11_multibottleneck");
+  if (!report) return 0;
 
+  // Under --shard only this shard's schemes ran; absent ones print as "-".
+  const std::vector<const runner::JobResult*> by_cell = report->by_cell();
   for (std::size_t j = 0; j < schemes.size(); ++j) {
     std::printf("scheme: %s\n",
                 schemes[j].display.c_str());
     exp::Table t({"hop", "avg queue (pkts)", "drop rate", "utilization (%)",
                   "jain (hop group)"});
-    for (std::size_t h = 0; h < hops[j].size(); ++h)
-      t.row({"R" + std::to_string(h + 1) + "-R" + std::to_string(h + 2),
-             exp::fmt(hops[j][h].avg_queue_pkts, "%.1f"),
-             exp::fmt(hops[j][h].drop_rate, "%.2e"),
-             exp::fmt(100 * hops[j][h].utilization, "%.1f"),
-             exp::fmt(hops[j][h].jain, "%.3f")});
+    const runner::JobResult* r = by_cell[j];
+    for (std::size_t h = 0; h + 1 < static_cast<std::size_t>(num_routers);
+         ++h) {
+      std::string hop =
+          "R" + std::to_string(h + 1) + "-R" + std::to_string(h + 2);
+      if (r == nullptr || !r->ok) {
+        t.row({std::move(hop), "-", "-", "-", "-"});
+        continue;
+      }
+      const auto gauge = [&](const char* what) {
+        return r->registry.gauges().at(hop_metric(h, what)).last();
+      };
+      t.row({std::move(hop), exp::fmt(gauge("avg_queue_pkts"), "%.1f"),
+             exp::fmt(gauge("drop_rate"), "%.2e"),
+             exp::fmt(100 * gauge("utilization"), "%.1f"),
+             exp::fmt(gauge("jain"), "%.3f")});
+    }
     t.print();
     std::printf("\n");
   }

@@ -11,6 +11,7 @@
 // Every (impairment, severity, scheme) cell is one runner::Job; the grid is
 // bit-identical for any --jobs value (each cell's impairment trace is fixed
 // by its derived seed), which CI checks with --smoke --jobs 1 vs 4.
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
     spec.xs.push_back(static_cast<double>(i));  // index into `cells`
     spec.x_labels.push_back(cells[i].label);
   }
-  spec.schemes = exp::parse_scheme_list("pert,sack");
+  spec.schemes = opt.schemes_or("pert,sack");
   spec.config = [&](double x, const exp::SchemeSpec& s) {
     exp::DumbbellConfig cfg;
     cfg.scheme = s;
@@ -119,8 +120,9 @@ int main(int argc, char** argv) {
   };
   spec.window = [&](double) { return std::pair{warmup, measure}; };
 
-  const runner::RunReport report =
-      bench::run_dumbbell_sweep(spec, opt.runner(), opt.trace_dir, opt.worker);
+  const std::optional<runner::RunReport> report =
+      bench::run_dumbbell_sweep(spec, opt);
+  if (!report) return 0;
 
   // Drop-cause split per cell: shows injected (impairment) losses separated
   // from congestion/overflow drops the AQM itself took.
@@ -130,10 +132,16 @@ int main(int argc, char** argv) {
     for (auto s : spec.schemes) headers.emplace_back(s.display);
     exp::Table t(headers);
     const std::size_t ns = spec.schemes.size();
+    const std::vector<const runner::JobResult*> by_cell = report->by_cell();
     for (std::size_t i = 0; i < spec.xs.size(); ++i) {
       std::vector<std::string> row{spec.x_labels[i]};
       for (std::size_t j = 0; j < ns; ++j) {
-        const exp::WindowMetrics& m = report.results[i * ns + j].metrics;
+        const runner::JobResult* r = by_cell[i * ns + j];
+        if (r == nullptr) {
+          row.emplace_back("-");
+          continue;
+        }
+        const exp::WindowMetrics& m = r->metrics;
         row.push_back(std::to_string(m.congestion_drops) + "/" +
                       std::to_string(m.overflow_drops) + "/" +
                       std::to_string(m.injected_drops));
@@ -145,5 +153,5 @@ int main(int argc, char** argv) {
   }
 
   opt.export_report(report);
-  return report.status == "ok" ? 0 : 1;
+  return report->status == "ok" ? 0 : 1;
 }

@@ -33,12 +33,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "dist/shard.h"
+#include "dist/worker.h"
 #include "exp/option_set.h"
 #include "exp/scheme.h"
 #include "net/qdisc_registry.h"
@@ -165,23 +167,28 @@ struct Opts {
     }
   }
 
-  /// Runner options carrying --jobs / --journal / --resume / --shard for
-  /// this bench's batch.
-  runner::RunnerOptions runner() const {
+  /// Runs the bench's batch `name` as the flags ask: on the experiment
+  /// runner with --jobs / --journal / --resume / --shard, or served to the
+  /// --worker coordinator, which then owns the report (nullopt).
+  std::optional<runner::RunReport> run(const std::vector<runner::Job>& batch,
+                                       const std::string& name) const {
     runner::RunnerOptions r;
+    r.name = name;
     r.threads = jobs;
     r.journal_path = journal;
     r.resume = resume;
     r.shard = shard;
-    return r;
+    return dist::run_or_serve(batch, r, worker);
   }
 
-  /// Writes the report when --json was given. Call once per bench.
-  void export_report(const runner::RunReport& report) const {
-    if (json.empty()) return;
-    runner::write_report(report, json);
+  /// Writes the report when --json was given. Call once per bench. A
+  /// nullopt report means the grid was served to a coordinator (--worker),
+  /// which owns the report; nothing is written then.
+  void export_report(const std::optional<runner::RunReport>& report) const {
+    if (json.empty() || !report) return;
+    runner::write_report(*report, json);
     std::fprintf(stderr, "  report written to %s (%zu jobs, %.2fx speedup)\n",
-                 json.c_str(), report.results.size(), report.speedup());
+                 json.c_str(), report->results.size(), report->speedup());
   }
 };
 

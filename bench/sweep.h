@@ -1,8 +1,10 @@
-// Dumbbell parameter-sweep runner shared by the Figure 6-9 and 14 benches:
-// every (x, scheme) cell is one self-contained runner::Job; the grid executes
-// on the experiment runner (serial with --jobs 1, parallel otherwise) and the
-// collected results print one table per metric, matching the four panels the
-// paper plots (avg queue, drop rate, utilization, Jain).
+// Dumbbell parameter-sweep runner shared by the Figure 6-9 and 14 benches and
+// the robustness bench: every (x, scheme) cell is one self-contained
+// runner::Job (dumbbell_job, whose body the ablations and ext_aqm benches run
+// too); the grid executes on the experiment runner (serial with --jobs 1,
+// parallel otherwise) and the collected results print one table per metric,
+// matching the four panels the paper plots (avg queue, drop rate,
+// utilization, Jain).
 //
 // Each cell's RNG seed is derived from the bench's base seed and the cell key
 // (runner::derive_seed), so the grid is bit-identical for any --jobs value.
@@ -13,12 +15,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dist/worker.h"
+#include "common.h"
 #include "exp/dumbbell.h"
 #include "exp/table.h"
 #include "runner/runner.h"
@@ -40,33 +44,72 @@ struct SweepSpec {
   std::function<std::pair<double, double>(double x)> window;
 };
 
-/// Maps a job key ("fig08_num_flows/flows=10/PERT") to a file name safe for
-/// any filesystem: every character outside [A-Za-z0-9._-] becomes '_'.
-inline std::string cell_trace_path(const std::string& dir,
-                                   const std::string& key) {
+/// --trace-dir for one cell: with a non-empty `trace_dir`, turns event
+/// tracing on in `obs` and returns the cell's trace file, named after `key`
+/// ("fig08_num_flows/flows=10/PERT") with every character outside
+/// [A-Za-z0-9._-] replaced by '_'. Returns "" (tracing untouched) otherwise.
+inline std::string cell_trace(obs::ObsConfig& obs, const std::string& trace_dir,
+                              const std::string& key) {
+  if (trace_dir.empty()) return {};
+  std::filesystem::create_directories(trace_dir);
+  obs.trace.enabled = true;
   std::string name = key;
   for (char& c : name)
     if (!(std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '-' ||
           c == '.' || c == '_'))
       c = '_';
-  return dir + "/" + name + ".json";
+  return trace_dir + "/" + name + ".json";
 }
 
-/// Executes the sweep grid on the experiment runner and prints the metric
+/// Writes a cell's Chrome trace to `path` (from cell_trace); no-op for "".
+inline void write_cell_trace(const obs::Tracer& tracer,
+                             const std::string& path) {
+  if (path.empty()) return;
+  std::ofstream f(path);
+  if (!f) throw std::runtime_error("cannot open trace file " + path);
+  tracer.write_chrome_trace(f);
+}
+
+/// One Dumbbell grid cell as a runner::Job, the body every Dumbbell bench
+/// runs (these sweeps, ablations, ext_aqm). The cell's seed is derived from
+/// cfg.seed and `key`. The body points the scenario watchdog at the runner's
+/// cancel flag, counts events across all shards, returns the metric registry
+/// and writes the cell's event trace when `trace_dir` is set (cell_trace).
+inline runner::Job dumbbell_job(std::string key,
+                                std::map<std::string, std::string> tags,
+                                exp::DumbbellConfig cfg, double warmup,
+                                double measure, const std::string& trace_dir) {
+  runner::Job job;
+  job.key = std::move(key);
+  job.seed = runner::derive_seed(cfg.seed, job.key);
+  job.tags = std::move(tags);
+  cfg.seed = job.seed;
+  const std::string trace_path = cell_trace(cfg.obs, trace_dir, job.key);
+  job.run = [cfg, warmup, measure,
+             trace_path](const runner::Job& cell) mutable {
+    // Cooperative timeout: the scenario watchdog polls the runner's cancel
+    // flag (no effect on results; the flag consumes no RNG).
+    cfg.watchdog.cancel = cell.cancel.flag();
+    exp::Dumbbell d(cfg);
+    runner::JobOutput out;
+    out.metrics = d.measure_window(warmup, measure);
+    out.events = d.network().total_dispatched();
+    out.registry = d.obs().registry();
+    write_cell_trace(d.obs().tracer(), trace_path);
+    return out;
+  };
+  return job;
+}
+
+/// Executes the sweep grid as `opt` asks (Opts::run) and prints the metric
 /// tables. Returns the full report (per-cell metrics, seeds, event counts,
-/// wall times) for JSON export. When `trace_dir` is non-empty, event tracing
-/// is enabled for every cell and each cell writes a Chrome trace_event JSON
-/// named after its (sanitized) job key into that directory.
-///
-/// With a sharded `ropts` only the shard's cells run (absent cells print as
-/// "-"); with `worker_address` set the grid is served to that coordinator
-/// instead of running locally and the returned report is a stub (the
-/// coordinator owns the real one).
-inline runner::RunReport run_dumbbell_sweep(
-    const SweepSpec& spec, runner::RunnerOptions ropts = {},
-    const std::string& trace_dir = {}, const std::string& worker_address = {}) {
+/// wall times) for JSON export, or nullopt when --worker handed the grid to
+/// a coordinator, which owns the report. With --trace-dir each cell writes
+/// its event trace (see dumbbell_job); under --shard only the shard's cells
+/// run and absent cells print as "-".
+inline std::optional<runner::RunReport> run_dumbbell_sweep(
+    const SweepSpec& spec, const Opts& opt) {
   const std::size_t nx = spec.xs.size(), ns = spec.schemes.size();
-  if (!trace_dir.empty()) std::filesystem::create_directories(trace_dir);
 
   // Materialize every cell's config and window up front, on this thread:
   // job bodies must not share the spec's callbacks.
@@ -75,80 +118,24 @@ inline runner::RunReport run_dumbbell_sweep(
   for (std::size_t i = 0; i < nx; ++i) {
     for (std::size_t j = 0; j < ns; ++j) {
       const auto [warmup, measure] = spec.window(spec.xs[i]);
-      exp::DumbbellConfig cfg = spec.config(spec.xs[i], spec.schemes[j]);
-      runner::Job job;
-      job.key = spec.name + "/" + spec.x_name + "=" + spec.x_labels[i] + "/" +
-                spec.schemes[j].display;
-      job.seed = runner::derive_seed(cfg.seed, job.key);
-      job.tags = {{"x", spec.x_labels[i]},
-                  {"scheme", spec.schemes[j].display}};
-      cfg.seed = job.seed;
-      std::string trace_path;
-      if (!trace_dir.empty()) {
-        cfg.obs.trace.enabled = true;
-        trace_path = cell_trace_path(trace_dir, job.key);
-      }
-      job.run = [cfg, warmup = warmup, measure = measure,
-                 trace_path](const runner::Job& cell) mutable {
-        // Cooperative timeout: the scenario watchdog polls the runner's
-        // cancel flag (no effect on results; the flag consumes no RNG).
-        cfg.watchdog.cancel = cell.cancel.flag();
-        exp::Dumbbell d(cfg);
-        runner::JobOutput out;
-        out.metrics = d.measure_window(warmup, measure);
-        out.events = d.network().total_dispatched();
-        out.registry = d.obs().registry();
-        if (!trace_path.empty()) {
-          std::ofstream f(trace_path);
-          if (!f)
-            throw std::runtime_error("cannot open trace file " + trace_path);
-          d.obs().tracer().write_chrome_trace(f);
-        }
-        return out;
-      };
-      jobs.push_back(std::move(job));
+      jobs.push_back(dumbbell_job(
+          spec.name + "/" + spec.x_name + "=" + spec.x_labels[i] + "/" +
+              spec.schemes[j].display,
+          {{"x", spec.x_labels[i]}, {"scheme", spec.schemes[j].display}},
+          spec.config(spec.xs[i], spec.schemes[j]), warmup, measure,
+          opt.trace_dir));
     }
   }
 
-  if (!worker_address.empty()) {
-    dist::WorkerOptions wopts;
-    wopts.label = spec.name;
-    const dist::WorkerSummary ws =
-        dist::run_worker(worker_address, spec.name, jobs, wopts);
-    if (!ws.gave_up) {
-      std::fprintf(stderr, "  worker served %llu cell(s) to %s\n",
-                   static_cast<unsigned long long>(ws.completed),
-                   worker_address.c_str());
-      runner::RunReport stub;
-      stub.name = spec.name;
-      stub.status = "ok";
-      stub.grid_cells = jobs.size();
-      return stub;
-    }
-    // Graceful degradation: the coordinator stayed unreachable past the
-    // reconnect budget, so run the grid standalone — every cell is a pure
-    // function of its seed, so the local report is the same one the
-    // coordinator would have assembled.
-    std::fprintf(stderr,
-                 "  worker gave up on %s; falling back to standalone run\n",
-                 worker_address.c_str());
-  }
+  std::optional<runner::RunReport> report = opt.run(jobs, spec.name);
+  if (!report) return report;
 
-  ropts.name = spec.name;
-  runner::ExperimentRunner exec(ropts);
-  runner::RunReport report = exec.run(jobs);
-
-  for (const runner::JobResult& r : report.results)
+  for (const runner::JobResult& r : report->results)
     if (!r.ok)
       std::fprintf(stderr, "  WARNING: job %s failed: %s\n", r.key.c_str(),
                    r.error.c_str());
 
-  // A sharded run's results cover only its slice of the grid; index the
-  // tables by global cell, printing "-" for cells other shards own.
-  std::vector<const runner::JobResult*> by_cell(nx * ns, nullptr);
-  for (const runner::JobResult& r : report.results)
-    if (r.cell < by_cell.size()) by_cell[r.cell] = &r;
-
+  const std::vector<const runner::JobResult*> by_cell = report->by_cell();
   struct MetricDef {
     const char* name;
     const char* fmt;

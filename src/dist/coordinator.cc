@@ -11,7 +11,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -569,12 +568,9 @@ CoordinatorResult Coordinator::serve() {
     runner::write_report(rep, opts_.json_path);
   if (complete())
     std::remove(ckpt_path.c_str());  // journal alone restores a done grid
-  if (!opts_.dist_metrics_path.empty()) {
-    std::ostringstream os;
-    out.metrics.write_json(os);
-    os << "\n";
-    runner::atomic_write_file(opts_.dist_metrics_path, os.str());
-  }
+  if (!opts_.dist_metrics_path.empty())
+    runner::atomic_write_file(opts_.dist_metrics_path,
+                              runner::to_json(out.metrics).dump(2) + "\n");
   if (opts_.verbose && pinned)
     std::fprintf(stderr, "[%s] coordinator done: %llu/%llu cells (%s)\n",
                  name.c_str(), static_cast<unsigned long long>(ndone),

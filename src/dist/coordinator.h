@@ -72,7 +72,8 @@ struct CoordinatorOptions {
   /// results (0 disables checkpointing).
   std::uint64_t checkpoint_every = 4;
   /// When non-empty, the coordinator's own dist.* metric registry (steals,
-  /// discarded duplicates, revoked leases, ...) is written here as JSON.
+  /// discarded duplicates, revoked leases, ...) is written here in the
+  /// RunReport's registry encoding (runner::to_json).
   /// Kept OUT of the sweep report on purpose: the report must stay
   /// byte-identical to a local run, chaos or no chaos.
   std::string dist_metrics_path;

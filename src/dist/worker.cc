@@ -356,4 +356,24 @@ WorkerSummary run_worker(const std::string& address, const std::string& name,
   return out;
 }
 
+std::optional<runner::RunReport> run_or_serve(
+    const std::vector<runner::Job>& jobs, const runner::RunnerOptions& ropts,
+    const std::string& worker) {
+  if (!worker.empty()) {
+    WorkerOptions wopts;
+    wopts.label = ropts.name;
+    const WorkerSummary ws = run_worker(worker, ropts.name, jobs, wopts);
+    if (!ws.gave_up) {
+      std::fprintf(stderr, "  worker served %llu cell(s) to %s\n",
+                   static_cast<unsigned long long>(ws.completed),
+                   worker.c_str());
+      return std::nullopt;
+    }
+    std::fprintf(stderr,
+                 "  worker gave up on %s; falling back to standalone run\n",
+                 worker.c_str());
+  }
+  return runner::ExperimentRunner(ropts).run(jobs);
+}
+
 }  // namespace pert::dist

@@ -17,8 +17,8 @@
 //     coordinator restart or a network partition — keeps trying instead of
 //     aborting on the first ECONNREFUSED. After `max_reconnects`
 //     consecutive failures the worker gives up GRACEFULLY: run_worker
-//     returns with `gave_up` set and the caller (bench/sweep.h, pert_sim)
-//     falls back to standalone local execution of the grid.
+//     returns with `gave_up` set and run_or_serve falls back to standalone
+//     local execution of the grid.
 //   - A heartbeat side thread beats every welcome-advertised interval even
 //     while a long cell computes, so the coordinator's liveness deadline
 //     never fires on a healthy-but-busy worker.
@@ -31,11 +31,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "runner/job.h"
+#include "runner/runner.h"
 
 namespace pert::dist {
 
@@ -84,5 +86,16 @@ struct WorkerSummary {
 WorkerSummary run_worker(const std::string& address, const std::string& name,
                          const std::vector<runner::Job>& jobs,
                          const WorkerOptions& opts = {});
+
+/// Runs a batch the way every bench and pert_sim does. With `worker` set,
+/// `jobs` are served to the coordinator at that address under the sweep
+/// name `ropts.name`; otherwise, or when the coordinator stays unreachable
+/// past the reconnect budget, they run locally on the experiment runner
+/// with `ropts`. Cells are pure functions of their seeds, so a fallback
+/// run's report is the one the coordinator would have assembled. Returns
+/// nullopt when the coordinator took the batch: it owns the report.
+std::optional<runner::RunReport> run_or_serve(
+    const std::vector<runner::Job>& jobs, const runner::RunnerOptions& ropts,
+    const std::string& worker);
 
 }  // namespace pert::dist

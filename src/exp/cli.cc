@@ -236,8 +236,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       o.trace_out = val;
     } else if (key == "series_out") {
       o.series_out = val;
-    } else if (key == "series_interval") {
-      o.series_interval = parse_num(val, key) * 1e-3;
     } else if (key == "trace") {
       o.trace_json = val;
       o.cfg.obs.trace.enabled = true;
@@ -282,8 +280,8 @@ std::string cli_usage() {
          "  [sack_fraction=0] [beta=0.35] [pmax=0.05] [gentle=1] [owd=0] "
          "[adaptive=0]\n"
          "  [trace_out=trace.csv] [series_out=queue.csv] "
-         "[series_interval=100]\n"
-         "  [trace=events.json] [metrics=metrics.json] [obs_interval=100]\n"
+         "[trace=events.json]\n"
+         "  [metrics=metrics.json] [obs_interval=100]\n"
          "  [impair=loss:p=0.01] [impair=gilbert:enter=,exit=,loss_bad=,"
          "loss_good=]\n"
          "  [impair=reorder:p=,min_ms=,max_ms=] [impair=jitter:max_ms=]\n"

@@ -14,11 +14,13 @@
 //   sack_fraction=<0..1>   fraction of flows forced to plain SACK
 //   beta=<0..1> pmax=<0..1> gentle=0|1 owd=0|1 adaptive=0|1
 //   trace_out=<path>       record the tagged flow's trace (pert-trace v1)
-//   series_out=<path>      queue-length time series CSV
-//   series_interval=<ms>
+//   series_out=<path>      bottleneck queue length as "t,value" CSV lines,
+//                          one per observability sample
 //   trace=<path>           structured event trace (Chrome trace_event JSON)
-//   metrics=<path>         metric-registry snapshot JSON
-//   obs_interval=<ms>      observability sampling cadence (default 100)
+//   metrics=<path>         metric-registry snapshot JSON (the RunReport's
+//                          registry encoding)
+//   obs_interval=<ms>      observability sampling cadence, which also paces
+//                          series_out (default 100)
 //   impair=<model>:<k=v>,<k=v>...   composable; repeat for several models:
 //     impair=loss:p=0.01
 //     impair=gilbert:enter=0.005,exit=0.3[,loss_bad=1][,loss_good=0]
@@ -51,7 +53,6 @@ struct CliOptions {
   double measure = 40.0;
   std::string trace_out;
   std::string series_out;
-  double series_interval = 0.1;  ///< seconds
   /// Structured observability outputs (empty = off). When set, cfg.obs is
   /// enabled accordingly so the scenario records events / metrics.
   std::string trace_json;

@@ -76,6 +76,14 @@ void DumbbellConfig::validate() const {
   impair.validate();
 }
 
+std::int32_t DumbbellConfig::resolved_buffer_pkts() const {
+  if (buffer_pkts > 0) return buffer_pkts;
+  // Paper rule: buffer = BDP (packets), at least twice the number of flows.
+  const double bdp = bottleneck_bps * rtt / (8.0 * tcp.seg_bytes());
+  const double n_long = num_fwd_flows + num_rev_flows;
+  return static_cast<std::int32_t>(std::max({bdp, 2.0 * n_long, 10.0}));
+}
+
 Dumbbell::Dumbbell(DumbbellConfig cfg)
     : cfg_(cfg),
       net_(cfg.seed),
@@ -104,21 +112,11 @@ Dumbbell::Dumbbell(DumbbellConfig cfg)
   for (std::int32_t i = 0; i < n_arenas; ++i)
     arenas_.push_back(std::make_unique<tcp::FlowArena>(per_arena));
 
-  const double seg_bytes = cfg_.tcp.seg_bytes();
-
   double min_rtt = cfg_.rtt;
   if (!cfg_.flow_rtts.empty())
     min_rtt = *std::min_element(cfg_.flow_rtts.begin(), cfg_.flow_rtts.end());
 
-  // Paper rule: buffer = BDP (packets), at least twice the number of flows.
-  const std::int32_t n_long = cfg_.num_fwd_flows + cfg_.num_rev_flows;
-  if (cfg_.buffer_pkts > 0) {
-    buffer_pkts_ = cfg_.buffer_pkts;
-  } else {
-    const double bdp = cfg_.bottleneck_bps * cfg_.rtt / (8.0 * seg_bytes);
-    buffer_pkts_ = static_cast<std::int32_t>(
-        std::max({bdp, 2.0 * n_long, 10.0}));
-  }
+  buffer_pkts_ = cfg_.resolved_buffer_pkts();
 
   bottleneck_delay_ = 0.2 * min_rtt;  // one-way; access links supply the rest
 

@@ -36,7 +36,8 @@ struct DumbbellConfig {
   std::int32_t num_fwd_flows = 10;
   std::int32_t num_rev_flows = 0;
   std::int32_t num_web_sessions = 0;
-  /// 0 = auto: BDP in packets, at least 2x the number of flows (paper rule).
+  /// 0 = auto: BDP in packets, at least 2x the number of flows (paper rule);
+  /// resolved_buffer_pkts() applies the rule.
   std::int32_t buffer_pkts = 0;
   /// Access links run at this multiple of the bottleneck rate (>= 2).
   double access_multiplier = 4.0;
@@ -96,6 +97,10 @@ struct DumbbellConfig {
   /// node is built, including the nested TCP/PERT/impairment configs —
   /// a bad scenario must fail at construction, not mid-run.
   void validate() const;
+
+  /// The bottleneck buffer the scenario builds, in packets: buffer_pkts when
+  /// set, else the paper rule.
+  std::int32_t resolved_buffer_pkts() const;
 };
 
 class Dumbbell {

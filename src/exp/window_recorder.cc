@@ -1,5 +1,7 @@
 #include "exp/window_recorder.h"
 
+#include "stats/stats.h"
+
 namespace pert::exp {
 
 void WindowRecorder::begin(const net::Queue& queue, const net::Link& link,
@@ -62,28 +64,6 @@ WindowMetrics WindowRecorder::end(std::int32_t buffer_pkts, double link_bps,
   m.jain = stats::jain_index(goodputs_);
   for (double g : goodputs_) m.agg_goodput_bps += g;
   return m;
-}
-
-void WindowRecorder::on_sample(const obs::Sample& s) {
-  auto it = sampled_.find(std::string_view(s.name));
-  if (it == sampled_.end()) it = sampled_.emplace(s.name, stats::Summary{}).first;
-  it->second.add(s.value);
-}
-
-void WindowRecorder::on_event(const obs::Event& e) {
-  auto it = event_counts_.find(std::string_view(e.name));
-  if (it == event_counts_.end()) it = event_counts_.emplace(e.name, 0).first;
-  ++it->second;
-}
-
-const stats::Summary* WindowRecorder::sampled(std::string_view name) const {
-  auto it = sampled_.find(name);
-  return it == sampled_.end() ? nullptr : &it->second;
-}
-
-std::uint64_t WindowRecorder::event_count(std::string_view name) const {
-  auto it = event_counts_.find(name);
-  return it == event_counts_.end() ? 0 : it->second;
 }
 
 }  // namespace pert::exp

@@ -1,29 +1,23 @@
-// WindowRecorder: the one measurement probe scenarios install over a window.
+// WindowRecorder: the one measurement snapshot scenarios take over a window.
 //
 // Replaces the ad-hoc snapshot fields (q0/l0/acked0 vectors and per-counter
 // baselines) each scenario used to carry: begin() snapshots one bottleneck
 // queue+link and a set of senders, end() differences the snapshots into a
-// WindowMetrics. As an obs::Probe it also summarizes every sampled series and
-// tallies every trace event delivered during the window, so experiments can
-// read e.g. the sampled queue-delay distribution without any glue code.
+// WindowMetrics. Series sampled over simulated time go through the
+// scenario's obs sampler and probes (obs/probe.h).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "exp/window_metrics.h"
 #include "net/link.h"
 #include "net/queue.h"
-#include "obs/probe.h"
-#include "stats/stats.h"
 #include "tcp/tcp_sender.h"
 
 namespace pert::exp {
 
-class WindowRecorder final : public obs::Probe {
+class WindowRecorder {
  public:
   /// Snapshots the window baseline at simulation time `now`. The queue, link
   /// and senders must outlive the recorder's end() call.
@@ -37,16 +31,6 @@ class WindowRecorder final : public obs::Probe {
   /// Per-sender goodput from the last end() call, in begin() sender order.
   const std::vector<double>& goodputs() const noexcept { return goodputs_; }
 
-  // --- obs::Probe ---
-  void on_sample(const obs::Sample& s) override;
-  void on_event(const obs::Event& e) override;
-
-  /// Summary of the sampled series `name` ("queue.delay", "tcp.cwnd", ...),
-  /// or nullptr when that series was never sampled.
-  const stats::Summary* sampled(std::string_view name) const;
-  /// Number of trace events named `name` seen so far.
-  std::uint64_t event_count(std::string_view name) const;
-
  private:
   const net::Queue* queue_ = nullptr;
   const net::Link* link_ = nullptr;
@@ -57,9 +41,6 @@ class WindowRecorder final : public obs::Probe {
   std::vector<std::int64_t> acked0_;
   std::uint64_t early0_ = 0, timeouts0_ = 0, loss0_ = 0;
   std::vector<double> goodputs_;
-
-  std::map<std::string, stats::Summary, std::less<>> sampled_;
-  std::map<std::string, std::uint64_t, std::less<>> event_counts_;
 };
 
 }  // namespace pert::exp

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
-#include <ostream>
 #include <stdexcept>
 
 namespace pert::obs {
@@ -9,12 +7,6 @@ namespace pert::obs {
 namespace {
 
 enum Kind { kCounter = 0, kGauge, kHistogram };
-
-void put_num(std::ostream& os, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  os << buf;
-}
 
 }  // namespace
 
@@ -67,48 +59,6 @@ void MetricRegistry::merge(const MetricRegistry& o) {
     else
       it->second.merge(h);
   }
-}
-
-void MetricRegistry::write_json(std::ostream& os) const {
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":" << c.value();
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":{\"last\":";
-    put_num(os, g.last());
-    os << ",\"mean\":";
-    put_num(os, g.summary().mean());
-    os << ",\"min\":";
-    put_num(os, g.summary().min());
-    os << ",\"max\":";
-    put_num(os, g.summary().max());
-    os << ",\"count\":" << g.summary().count() << "}";
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":{\"lo\":";
-    put_num(os, h.lo());
-    os << ",\"hi\":";
-    put_num(os, h.hi());
-    os << ",\"total\":" << h.total() << ",\"counts\":[";
-    for (std::size_t i = 0; i < h.bins(); ++i) {
-      if (i) os << ",";
-      os << h.bin_count(i);
-    }
-    os << "]}";
-  }
-  os << "}}";
 }
 
 }  // namespace pert::obs

@@ -8,12 +8,12 @@
 // histograms sum bin-wise), so a sweep's per-cell registries roll up into
 // one aggregate without losing distribution shape.
 //
-// Deterministic by construction: storage is ordered by name and the JSON
-// writer uses fixed field order and number formatting.
+// Deterministic by construction: storage is ordered by name. The JSON
+// encoding is runner::to_json(const MetricRegistry&) (runner/report.h), the
+// one the RunReport embeds and registry_from_json reads back.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 
@@ -89,12 +89,6 @@ class MetricRegistry {
   /// bound to different kinds, or histograms of different shape, throw
   /// std::invalid_argument.
   void merge(const MetricRegistry& o);
-
-  /// Deterministic JSON snapshot:
-  ///   {"counters":{name:count,...},
-  ///    "gauges":{name:{"last":..,"mean":..,"min":..,"max":..,"count":..},..},
-  ///    "histograms":{name:{"lo":..,"hi":..,"total":..,"counts":[..]},..}}
-  void write_json(std::ostream& os) const;
 
  private:
   void check_unbound(const std::string& name, int kind) const;

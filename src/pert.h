@@ -51,7 +51,6 @@
 #include "sim/timer.h"
 #include "sim/watchdog.h"
 #include "stats/stats.h"
-#include "stats/time_series.h"
 #include "tcp/tcp_config.h"
 #include "tcp/tcp_sender.h"
 #include "tcp/tcp_sink.h"

@@ -112,6 +112,16 @@ struct RunReport {
 
   /// Parallel speedup actually realised: serial-equivalent time / wall time.
   double speedup() const { return wall_ms > 0 ? cpu_ms / wall_ms : 0.0; }
+
+  /// Results looked up by global grid cell: entry i is cell i's result, or
+  /// nullptr when this report does not hold it (a --shard slice carries only
+  /// its own cells). Sized by grid_cells; the pointers alias `results`.
+  std::vector<const JobResult*> by_cell() const {
+    std::vector<const JobResult*> out(grid_cells, nullptr);
+    for (const JobResult& r : results)
+      if (r.cell < out.size()) out[r.cell] = &r;
+    return out;
+  }
 };
 
 }  // namespace pert::runner

@@ -41,7 +41,7 @@ TEST(ParseCli, FullScenario) {
        "web=100", "buffer=750", "seed=7", "warmup=30", "measure=120",
        "start_window=12", "sack_fraction=0.25", "beta=0.4", "pmax=0.1",
        "gentle=0", "owd=1", "adaptive=1", "trace_out=/tmp/t.csv",
-       "series_out=/tmp/q.csv", "series_interval=50"});
+       "series_out=/tmp/q.csv", "obs_interval=50"});
   EXPECT_EQ(o.cfg.scheme, parse_scheme_spec("pert"));
   EXPECT_DOUBLE_EQ(o.cfg.bottleneck_bps, 150e6);
   EXPECT_DOUBLE_EQ(o.cfg.rtt, 0.060);
@@ -61,7 +61,7 @@ TEST(ParseCli, FullScenario) {
   EXPECT_TRUE(o.cfg.pert.adaptive_pmax);
   EXPECT_EQ(o.trace_out, "/tmp/t.csv");
   EXPECT_EQ(o.series_out, "/tmp/q.csv");
-  EXPECT_DOUBLE_EQ(o.series_interval, 0.050);
+  EXPECT_DOUBLE_EQ(o.cfg.obs.sample_interval, 0.050);
 }
 
 TEST(ParseCli, RttList) {

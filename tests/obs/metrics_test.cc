@@ -1,13 +1,13 @@
 // Metric registry tests: kind binding, merge semantics (counters add, gauge
 // summaries combine exactly, histograms sum bin-wise), and the deterministic
-// JSON snapshot.
+// JSON snapshot (the runner encoding, runner::to_json).
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.h"
 #include "runner/json.h"
+#include "runner/report.h"
 #include "stats/stats.h"
 
 namespace pert::obs {
@@ -82,10 +82,9 @@ TEST(MetricRegistry, WriteJsonIsValidAndComplete) {
   reg.counter("window.drops").add(4);
   reg.gauge("window.util").set(0.8);
   reg.histogram("window.norm_queue", 0, 1, 2).add(0.9);
-  std::ostringstream os;
-  reg.write_json(os);
 
-  const runner::JsonValue doc = runner::JsonValue::parse(os.str());
+  const runner::JsonValue doc =
+      runner::JsonValue::parse(runner::to_json(reg).dump(2));
   EXPECT_EQ(doc.find("counters")->find("window.drops")->as_uint(), 4u);
   const runner::JsonValue* util = doc.find("gauges")->find("window.util");
   ASSERT_NE(util, nullptr);
@@ -94,9 +93,17 @@ TEST(MetricRegistry, WriteJsonIsValidAndComplete) {
   const runner::JsonValue* h =
       doc.find("histograms")->find("window.norm_queue");
   ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->find("total")->as_uint(), 1u);
+  EXPECT_DOUBLE_EQ(h->find("lo")->as_double(), 0.0);
+  EXPECT_DOUBLE_EQ(h->find("hi")->as_double(), 1.0);
   EXPECT_EQ(h->find("counts")->as_array().size(), 2u);
   EXPECT_EQ(h->find("counts")->as_array()[1].as_uint(), 1u);
+
+  // Complete: the document reads back to an equal registry.
+  const MetricRegistry back = runner::registry_from_json(doc);
+  EXPECT_EQ(back.counters().at("window.drops").value(), 4u);
+  EXPECT_DOUBLE_EQ(back.gauges().at("window.util").last(), 0.8);
+  EXPECT_EQ(back.histograms().at("window.norm_queue").total(), 1u);
+  EXPECT_EQ(runner::to_json(back).dump(), runner::to_json(reg).dump());
 }
 
 TEST(Summary, RestoreIsExactInverse) {

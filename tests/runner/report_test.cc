@@ -7,6 +7,9 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
+
+#include "runner/runner.h"
 
 namespace pert::runner {
 namespace {
@@ -107,6 +110,35 @@ TEST(Report, FileRoundTrip) {
   EXPECT_EQ(b.results[0].metrics, a.results[0].metrics);
   EXPECT_EQ(b.results[0].seed, a.results[0].seed);
   std::remove(path.c_str());
+}
+
+TEST(Report, ByCellLooksUpAShardedReportByGridCell) {
+  std::vector<Job> jobs(5);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].key = "grid/cell=" + std::to_string(i);
+    jobs[i].run = [](const Job&) { return JobOutput{}; };
+  }
+  RunnerOptions opts;
+  opts.progress = false;
+  opts.shard = {1, 2};  // owns cells 1 and 3
+  const RunReport rep = ExperimentRunner(opts).run(jobs);
+  ASSERT_EQ(rep.results.size(), 2u);
+
+  // The same lookup after a JSON round trip: the shard block carries the
+  // grid size.
+  for (const RunReport& r : {rep, report_from_json(to_json(rep))}) {
+    const std::vector<const JobResult*> by_cell = r.by_cell();
+    ASSERT_EQ(by_cell.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (i % 2 == 0) {
+        EXPECT_EQ(by_cell[i], nullptr) << "cell " << i;
+        continue;
+      }
+      ASSERT_NE(by_cell[i], nullptr) << "cell " << i;
+      EXPECT_EQ(by_cell[i]->key, jobs[i].key);
+      EXPECT_EQ(by_cell[i]->cell, i);
+    }
+  }
 }
 
 TEST(Report, WriteToBadPathThrows) {

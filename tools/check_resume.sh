@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Kill-resume equivalence check: SIGKILL a journaled sweep at ~50% of its
 # cells, resume it from the journal, and require the resumed report to be
-# byte-identical (minus the wall-clock-only fields) to an uninterrupted run —
-# plus exactly one journal record per cell afterwards. CI runs this; see
+# byte-identical (minus the wall-clock-only fields) to an uninterrupted run,
+# its stdout tables identical too (so tables built outside the report show
+# up), plus exactly one journal record per cell afterwards. CI runs this; see
 # docs/runner.md "Crash safety & resume".
 #
 # Usage: tools/check_resume.sh [BENCH] [JOBS]
@@ -27,7 +28,7 @@ records() {
 # 1. Uninterrupted serial reference run (journaled too, so the grid size can
 #    be read off instead of hard-coding the smoke grid here).
 "$BENCH" --smoke --jobs 1 --json "$TMP/clean.json" \
-         --journal "$TMP/clean.journal" > /dev/null
+         --journal "$TMP/clean.journal" > "$TMP/clean.out"
 TOTAL=$(records "$TMP/clean.journal")
 if [ "$TOTAL" -lt 2 ]; then
   echo "check_resume: reference journal has only $TOTAL records" >&2
@@ -56,10 +57,11 @@ echo "check_resume: killed sweep at $KEPT/$TOTAL journal records"
 
 # 3. Resume from the journal and compare against the clean reference.
 "$BENCH" --smoke --jobs "$JOBS" --json "$TMP/resumed.json" \
-         --journal "$TMP/run.journal" --resume > /dev/null
+         --journal "$TMP/run.journal" --resume > "$TMP/resumed.out"
 strip_volatile "$TMP/clean.json" > "$TMP/clean.stable"
 strip_volatile "$TMP/resumed.json" > "$TMP/resumed.stable"
 diff "$TMP/clean.stable" "$TMP/resumed.stable"
+diff "$TMP/clean.out" "$TMP/resumed.out"
 
 AFTER=$(records "$TMP/run.journal")
 if [ "$AFTER" -ne "$TOTAL" ]; then
@@ -67,5 +69,5 @@ if [ "$AFTER" -ne "$TOTAL" ]; then
        "expected exactly $TOTAL" >&2
   exit 1
 fi
-echo "check_resume OK: resumed report identical to uninterrupted run" \
+echo "check_resume OK: resumed report and tables identical to uninterrupted run" \
      "($TOTAL cells, killed at $KEPT, jobs=$JOBS)"

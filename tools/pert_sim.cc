@@ -1,28 +1,33 @@
 // pert_sim — scenario driver CLI.
 //
-// Runs a single dumbbell scenario described with key=value arguments and
-// prints the windowed metrics; optionally records the tagged flow's trace
-// (pert-trace v1) and a queue-length time series (CSV).
+// Runs dumbbell scenarios described with key=value arguments and prints the
+// windowed metrics; optionally records the tagged flow's trace (pert-trace
+// v1), the bottleneck queue length as a "t,value" CSV series, a Chrome event
+// trace and a metric-registry snapshot.
 //
 //   pert_sim scheme=pert bw=100M rtt=60 flows=10 measure=60
 //   pert_sim scheme=sack-red bw=150M rtt=60 flows=50 web=100
 //            series_out=queue.csv trace_out=flow0.csv   (one line)
 //
-// A comma list of schemes runs one scenario per scheme — in parallel with
-// --jobs N (0 = all cores) — and --json PATH exports the collected
-// RunReport (metrics, seeds, event counts, wall times):
+// Every run goes through the experiment runner as one job per scheme. A
+// comma list of schemes runs in parallel with --jobs N (0 = all cores), and
+// each output path then carries the scheme name (queue.csv -> queue.PERT.csv).
+// --json PATH exports the collected RunReport (metrics, seeds, event counts,
+// wall times):
 //
 //   pert_sim --jobs 0 --json out.json scheme=pert,sack,sack-red,vegas
 //            bw=100M rtt=60 flows=10                        (one line)
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/shard.h"
@@ -31,27 +36,28 @@
 #include "exp/fuzz/fuzz.h"
 #include "exp/option_set.h"
 #include "exp/table.h"
+#include "net/qdisc_registry.h"
+#include "obs/probe.h"
 #include "predictors/trace_io.h"
 #include "predictors/trace_recorder.h"
-#include "net/qdisc_registry.h"
+#include "runner/journal.h"
 #include "runner/report.h"
 #include "runner/runner.h"
 #include "sim/errors.h"
-#include "stats/time_series.h"
 #include "tcp/cc_registry.h"
 
 namespace {
 
 using namespace pert;
 
-void print_banner(const exp::CliOptions& opt, const exp::SchemeSpec& scheme,
-                  std::int32_t buffer_pkts) {
+void print_banner(const exp::CliOptions& opt, const exp::SchemeSpec& scheme) {
   std::printf("scheme=%s bw=%.0f rtt=%.0fms flows=%d web=%d buffer=%d "
               "window=[%.0f,%.0f]s\n\n",
               scheme.display.c_str(),
               opt.cfg.bottleneck_bps, opt.cfg.rtt * 1e3,
-              opt.cfg.num_fwd_flows, opt.cfg.num_web_sessions, buffer_pkts,
-              opt.warmup, opt.warmup + opt.measure);
+              opt.cfg.num_fwd_flows, opt.cfg.num_web_sessions,
+              opt.cfg.resolved_buffer_pkts(), opt.warmup,
+              opt.warmup + opt.measure);
 }
 
 void print_metrics(const exp::WindowMetrics& m) {
@@ -109,171 +115,113 @@ std::string tagged_path(const std::string& path, std::string tag) {
   return path.substr(0, dot) + "." + tag + path.substr(dot);
 }
 
-/// Writes the scenario's structured observability outputs (Chrome trace
-/// JSON and/or metric-registry snapshot) when the user asked for them.
-int write_obs_outputs(exp::Dumbbell& d, const std::string& trace_json,
-                      const std::string& metrics_json) {
-  try {
-    if (!trace_json.empty()) {
-      std::ofstream f(trace_json);
-      if (!f) throw std::runtime_error("cannot open " + trace_json);
+/// series_out=: the sampler's bottleneck queue-length series ("queue.len",
+/// one sample per obs_interval) as "t,value" CSV lines.
+class QueueSeries final : public obs::Probe {
+ public:
+  void on_sample(const obs::Sample& s) override {
+    if (std::strcmp(s.name, "queue.len") != 0) return;
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "%.10g,%.10g\n", s.t, s.value);
+    csv_ += buf;
+  }
+  const std::string& csv() const noexcept { return csv_; }
+
+ private:
+  std::string csv_;
+};
+
+/// The files one scheme's job writes; empty paths were not asked for.
+struct Outputs {
+  std::string trace_json;
+  std::string metrics_json;
+  std::string trace_out;
+  std::string series_out;
+};
+
+/// Output paths for `scheme`: the user's paths as given for a single
+/// scheme; with several, each gets the scheme name spliced in so parallel
+/// jobs never write to the same file.
+Outputs outputs_for(const exp::CliOptions& opt, const exp::SchemeSpec& scheme) {
+  auto path = [&](const std::string& p) {
+    return p.empty() || opt.schemes.size() <= 1
+               ? p
+               : tagged_path(p, scheme.display);
+  };
+  return {path(opt.trace_json), path(opt.metrics_json), path(opt.trace_out),
+          path(opt.series_out)};
+}
+
+void print_written(const Outputs& o) {
+  const std::pair<const char*, const std::string*> lines[] = {
+      {"event trace", &o.trace_json},
+      {"metrics", &o.metrics_json},
+      {"tagged-flow trace", &o.trace_out},
+      {"queue time series", &o.series_out},
+  };
+  for (const auto& [what, path] : lines)
+    if (!path->empty()) std::printf("%s written to %s\n", what, path->c_str());
+}
+
+/// One scheme's scenario as a runner job: runs the window with the
+/// requested recorders attached, then writes their files.
+runner::Job scheme_job(const exp::CliOptions& opt, exp::DumbbellConfig cfg) {
+  runner::Job job;
+  job.key = "pert_sim/scheme=" + cfg.scheme.display;
+  job.seed = cfg.seed;  // same base seed per scheme, as if run one at a time
+  job.tags = {{"scheme", cfg.scheme.display}};
+  job.run = [cfg, warmup = opt.warmup, measure = opt.measure,
+             files = outputs_for(opt, cfg.scheme)](
+                const runner::Job& j) mutable {
+    cfg.watchdog.cancel = j.cancel.flag();
+    exp::Dumbbell d(cfg);
+    std::unique_ptr<predictors::TraceRecorder> recorder;
+    if (!files.trace_out.empty())
+      recorder = std::make_unique<predictors::TraceRecorder>(d.fwd_sender(0),
+                                                             d.fwd_queue());
+    QueueSeries series;
+    if (!files.series_out.empty()) d.add_probe(&series);
+
+    runner::JobOutput out;
+    out.metrics = d.measure_window(warmup, measure);
+    out.events = d.network().sched().dispatched();
+    out.registry = d.obs().registry();
+
+    if (!files.trace_json.empty()) {
+      std::ofstream f(files.trace_json);
+      if (!f) throw std::runtime_error("cannot open " + files.trace_json);
       d.obs().tracer().write_chrome_trace(f);
-      std::printf("event trace written to %s\n", trace_json.c_str());
     }
-    if (!metrics_json.empty()) {
-      std::ofstream f(metrics_json);
-      if (!f) throw std::runtime_error("cannot open " + metrics_json);
-      d.obs().registry().write_json(f);
-      std::printf("metrics written to %s\n", metrics_json.c_str());
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error writing outputs: %s\n", e.what());
-    return 1;
-  }
-  return 0;
+    if (!files.metrics_json.empty())
+      runner::atomic_write_file(files.metrics_json,
+                                runner::to_json(out.registry).dump(2) + "\n");
+    if (recorder) predictors::save_trace(recorder->take(), files.trace_out);
+    if (!files.series_out.empty())
+      runner::atomic_write_file(files.series_out, series.csv());
+    return out;
+  };
+  return job;
 }
 
-/// Single-scenario path: trace/series recording, byte-identical output to the
-/// pre-runner CLI. Returns the result for optional JSON export.
-int run_single(const exp::CliOptions& opt, const std::string& json_out) {
-  exp::Dumbbell d(opt.cfg);
-
-  std::unique_ptr<predictors::TraceRecorder> recorder;
-  if (!opt.trace_out.empty())
-    recorder = std::make_unique<predictors::TraceRecorder>(d.fwd_sender(0),
-                                                           d.fwd_queue());
-  std::unique_ptr<stats::TimeSeries> series;
-  if (!opt.series_out.empty()) {
-    series = std::make_unique<stats::TimeSeries>(
-        d.network().sched(), opt.series_interval,
-        [&d] { return static_cast<double>(d.fwd_queue().len_pkts()); });
-    series->start();
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const exp::WindowMetrics m = d.measure_window(opt.warmup, opt.measure);
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-
-  print_banner(opt, opt.cfg.scheme, d.buffer_pkts());
-  print_metrics(m);
-
-  if (const int rc = write_obs_outputs(d, opt.trace_json, opt.metrics_json))
-    return rc;
-
-  try {
-    if (recorder) {
-      predictors::save_trace(recorder->take(), opt.trace_out);
-      std::printf("\ntagged-flow trace written to %s\n", opt.trace_out.c_str());
-    }
-    if (series) {
-      std::ofstream f(opt.series_out);
-      series->write_csv(f);
-      std::printf("queue time series written to %s\n", opt.series_out.c_str());
-    }
-    if (!json_out.empty()) {
-      runner::RunReport report;
-      report.name = "pert_sim";
-      report.threads = 1;
-      report.wall_ms = report.cpu_ms = wall_ms;
-      runner::JobResult r;
-      r.key = "pert_sim/scheme=" + opt.cfg.scheme.display;
-      r.seed = opt.cfg.seed;
-      r.tags = {{"scheme", opt.cfg.scheme.display}};
-      r.metrics = m;
-      r.events = d.network().sched().dispatched();
-      r.wall_ms = wall_ms;
-      r.ok = true;
-      report.results.push_back(std::move(r));
-      runner::write_report(report, json_out);
-      std::printf("report written to %s\n", json_out.c_str());
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error writing outputs: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
-
-/// Multi-scheme path: one job per scheme through the experiment runner —
-/// or, with `worker` set, served as a distributed worker to that
-/// coordinator (see docs/runner.md "Distributed sweeps").
-int run_multi(const exp::CliOptions& opt, unsigned jobs,
-              const std::string& json_out, const std::string& journal_path,
-              bool resume, dist::ShardSpec shard, const std::string& worker) {
-  if (!opt.trace_out.empty() || !opt.series_out.empty()) {
-    std::fprintf(stderr,
-                 "error: trace_out/series_out need a single scheme\n");
-    return 2;
-  }
-
+/// Runs one job per scheme on the experiment runner (or, with `worker` set,
+/// serves them to that coordinator; see docs/runner.md "Distributed
+/// sweeps") and prints each scheme's banner, metrics and written files.
+int run(const exp::CliOptions& opt, const runner::RunnerOptions& ropts,
+        const std::string& json_out, const std::string& worker) {
   std::vector<runner::Job> batch;
-  std::vector<std::int32_t> buffer_pkts(opt.schemes.size(), 0);
-  for (std::size_t i = 0; i < opt.schemes.size(); ++i) {
+  for (const exp::SchemeSpec& scheme : opt.schemes) {
     exp::DumbbellConfig cfg = opt.cfg;
-    cfg.scheme = opt.schemes[i];
-    runner::Job job;
-    job.key = "pert_sim/scheme=" + cfg.scheme.display;
-    job.seed = cfg.seed;  // same base seed per scheme, as if run one at a time
-    job.tags = {{"scheme", cfg.scheme.display}};
-    // Per-job observability outputs: trace=/metrics= paths get the scheme
-    // name spliced in so parallel jobs never write to the same file.
-    const std::string scheme_tag(cfg.scheme.display);
-    std::string trace_json = opt.trace_json.empty()
-                                 ? std::string()
-                                 : tagged_path(opt.trace_json, scheme_tag);
-    std::string metrics_json = opt.metrics_json.empty()
-                                   ? std::string()
-                                   : tagged_path(opt.metrics_json, scheme_tag);
-    job.run = [cfg, warmup = opt.warmup, measure = opt.measure,
-               trace_json = std::move(trace_json),
-               metrics_json = std::move(metrics_json),
-               &buf = buffer_pkts[i]](const runner::Job& j) mutable {
-      cfg.watchdog.cancel = j.cancel.flag();
-      exp::Dumbbell d(cfg);
-      runner::JobOutput out;
-      out.metrics = d.measure_window(warmup, measure);
-      out.events = d.network().sched().dispatched();
-      out.registry = d.obs().registry();
-      buf = d.buffer_pkts();
-      if (write_obs_outputs(d, trace_json, metrics_json) != 0)
-        throw std::runtime_error("failed to write observability outputs");
-      return out;
-    };
-    batch.push_back(std::move(job));
+    cfg.scheme = scheme;
+    cfg.validate();  // a bad scenario is a usage error, not a failed cell
+    batch.push_back(scheme_job(opt, std::move(cfg)));
   }
 
-  if (!worker.empty()) {
-    dist::WorkerOptions wopts;
-    wopts.label = "pert_sim";
-    const dist::WorkerSummary ws =
-        dist::run_worker(worker, "pert_sim", batch, wopts);
-    if (!ws.gave_up) {
-      std::printf("worker served %llu cell(s) to %s\n",
-                  static_cast<unsigned long long>(ws.completed),
-                  worker.c_str());
-      return 0;
-    }
-    // Coordinator unreachable past the reconnect budget: degrade to a
-    // standalone run (identical results — cells are pure functions of
-    // their seeds) rather than exiting with nothing.
-    std::fprintf(stderr,
-                 "worker gave up on %s; falling back to standalone run\n",
-                 worker.c_str());
-  }
-
-  runner::RunnerOptions ropts;
-  ropts.threads = jobs;
-  ropts.name = "pert_sim";
-  ropts.journal_path = journal_path;
-  ropts.resume = resume;
-  ropts.shard = shard;
-  const runner::RunReport report = runner::ExperimentRunner(ropts).run(batch);
+  const std::optional<runner::RunReport> report =
+      dist::run_or_serve(batch, ropts, worker);
+  if (!report) return 0;
 
   int rc = 0;
-  for (const runner::JobResult& r : report.results) {
+  for (const runner::JobResult& r : report->results) {
     if (!r.ok) {
       std::fprintf(stderr, "error: %s failed: %s\n", r.key.c_str(),
                    r.error.c_str());
@@ -282,13 +230,15 @@ int run_multi(const exp::CliOptions& opt, unsigned jobs,
     }
     // r.cell is the global scheme index even under --shard, where results
     // cover only this shard's slice of the batch.
-    print_banner(opt, opt.schemes[r.cell], buffer_pkts[r.cell]);
+    const exp::SchemeSpec& scheme = opt.schemes[r.cell];
+    print_banner(opt, scheme);
     print_metrics(r.metrics);
+    print_written(outputs_for(opt, scheme));
     std::printf("\n");
   }
   if (!json_out.empty()) {
     try {
-      runner::write_report(report, json_out);
+      runner::write_report(*report, json_out);
       std::printf("report written to %s\n", json_out.c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error writing outputs: %s\n", e.what());
@@ -377,11 +327,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --resume requires --journal PATH\n");
     return 2;
   }
+  runner::RunnerOptions ropts;
+  ropts.threads = jobs;
+  ropts.name = "pert_sim";
+  ropts.journal_path = journal_path;
+  ropts.resume = resume;
+  ropts.shard = shard;
   try {
-    if (opt.schemes.size() <= 1 && journal_path.empty() && !shard.active() &&
-        worker.empty())
-      return run_single(opt, json_out);
-    return run_multi(opt, jobs, json_out, journal_path, resume, shard, worker);
+    return run(opt, ropts, json_out, worker);
   } catch (const sim::ConfigError& e) {
     // Out-of-domain scenario parameters: a usage error, not a crash. Print
     // the human line plus the machine-greppable component=/param= detail.
