@@ -45,7 +45,8 @@ struct Section {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(
+      argc, argv, bench::kFull | bench::kRunner);
   opt.banner("PERT design ablations",
              "beta trades utilization vs queue; non-gentle over-responds; "
              "unlimited response collapses utilization; heavier srtt weight "

@@ -22,7 +22,9 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(
+      argc, argv, bench::kFull | bench::kSmoke |
+                  bench::kSimThreads | bench::kRunner);
   opt.banner("Extension: end-host emulation vs the router AQM zoo",
              "each end-host emulation over DropTail tracks its router "
              "counterpart; the cross product shows every cc x qdisc cell");

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(argc, argv, bench::kFull);
   opt.banner("Figure 2: high-RTT -> loss transition fraction, flow vs queue",
              "queue-level correlation >> flow-level correlation, all cases");
 

@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace pert;
   using namespace pert::predictors;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(argc, argv, bench::kFull);
   opt.banner("Figure 3: predictor comparison (queue-level losses)",
              "vegas best classic; inst-rtt high FP; ma-750 and ewma-0.99 "
              "high efficiency with low FP/FN");

@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace pert;
   using namespace pert::predictors;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(argc, argv, bench::kFull);
   opt.banner("Figure 4: PDF of normalized queue length at false positives",
              "false-positive mass concentrated below ~0.5 of the buffer");
 

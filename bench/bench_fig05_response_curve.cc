@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(argc, argv, 0);
   opt.banner("Figure 5: PERT response curve",
              "0 below T_min=P+5ms; linear to p_max=0.05 at T_max=P+10ms; "
              "gentle ramp to 1 at 2*T_max");

@@ -9,7 +9,8 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(
+      argc, argv, bench::kFull | bench::kSchemes | bench::kRunner);
   opt.banner("Figure 6: impact of bottleneck bandwidth",
              "PERT ~ RED-ECN on queue/drops; DropTail queue high; "
              "PERT jain ~1, Vegas jain low");

@@ -8,7 +8,8 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(
+      argc, argv, bench::kFull | bench::kSchemes | bench::kRunner);
   opt.banner("Figure 7: impact of end-to-end RTT",
              "PERT ~ RED-ECN queue/drops; RED-ECN util slightly above PERT; "
              "jain stays high");

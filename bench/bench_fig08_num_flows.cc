@@ -9,7 +9,9 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(
+      argc, argv, bench::kFull | bench::kSmoke | bench::kSchemes |
+                  bench::kSimThreads | bench::kRunner);
   opt.banner("Figure 8: impact of the number of long-term flows",
              "Vegas queue grows with N; PERT stays low ~ RED-ECN; "
              "PERT jain high even at large N");

@@ -9,7 +9,8 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(
+      argc, argv, bench::kFull | bench::kSchemes | bench::kRunner);
   opt.banner("Figure 9: impact of web sessions",
              "queue stays low, ~zero drops for PERT and RED-ECN under "
              "increasing web load; long-term jain high");

@@ -32,7 +32,9 @@ std::string hop_metric(std::size_t h, const char* what) {
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(
+      argc, argv, bench::kFull | bench::kSmoke | bench::kSchemes |
+                  bench::kSimThreads | bench::kRunner);
   opt.banner("Figure 11: multiple bottlenecks (6-router chain)",
              "PERT: low queue + zero drops on all hops, util ~ RED-ECN, "
              "fairness maintained");

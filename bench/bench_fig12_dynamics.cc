@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(argc, argv, bench::kFull);
   opt.banner("Figure 12: response to sudden changes in responsive traffic",
              "cohort aggregates re-converge quickly after each join/leave "
              "for PERT; Vegas cohorts stay unfair");

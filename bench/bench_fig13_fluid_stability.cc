@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(argc, argv, bench::kFull);
   opt.banner("Figure 13: fluid model of PERT",
              "(a) delta_min decreases toward ~0.1 s by N-=40; (b) R=100ms "
              "monotone stable; (c) R=160ms decaying oscillations; (d) "

@@ -10,7 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(
+      argc, argv, bench::kFull | bench::kSchemes | bench::kRunner);
   opt.banner("Figure 14: emulating PI at end hosts",
              "PERT-PI ~ router PI/ECN on queue/util; both ~zero drops");
 

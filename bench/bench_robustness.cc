@@ -29,7 +29,9 @@ struct Cell {
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(
+      argc, argv, bench::kFull | bench::kSmoke | bench::kSchemes |
+                  bench::kRunner);
   opt.banner("Robustness: impairment models at increasing severity",
              "PERT queue stays low under impairments; utilization falls "
              "faster than SACK as non-congestion loss grows");

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace pert;
-  const bench::Opts opt = bench::Opts::parse(argc, argv);
+  const bench::Opts opt = bench::Opts::parse(argc, argv, bench::kFull);
   opt.banner("Table 1: different RTTs sharing the bottleneck",
              "paper: PERT Q=0.28 p~4e-6 U=93.8 F=0.86 | Sack/DT F=0.44 | "
              "Sack/RED F=0.51 | Vegas Q=0.07 U~100 F=0.98");

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "dist/protocol.h"
+#include "exp/option_set.h"
 #include "runner/journal.h"
 #include "runner/runner.h"
 #include "runner/seed.h"
@@ -354,6 +355,34 @@ WorkerSummary run_worker(const std::string& address, const std::string& name,
                  static_cast<unsigned long long>(out.reconnects));
   }
   return out;
+}
+
+void add_shard_flag(exp::cli::OptionSet& opts, ShardSpec& out,
+                    const std::string& units) {
+  opts.opt("--shard", &out, parse_shard,
+           "run only the " + units + " with index % N == K (0-based)", "K/N");
+}
+
+void add_run_flags(exp::cli::OptionSet& opts, RunFlags& out) {
+  opts.opt("--jobs", &out.runner.threads,
+           "cells run in parallel (0 = all cores)")
+      .opt("--json", &out.json, "write the RunReport here as JSON", "PATH")
+      .opt("--journal", &out.runner.journal_path,
+           "journal every completed cell here (crash-safe)", "PATH")
+      .flag("--resume", &out.runner.resume,
+            "recover completed cells from --journal, run only the rest");
+  add_shard_flag(opts, out.runner.shard, "grid cells");
+  opts.opt("--worker", &out.worker,
+           "serve the cells to this sweep_coordinator instead", "HOST:PORT")
+      .check([&out] {
+        if (out.runner.resume && out.runner.journal_path.empty())
+          throw std::invalid_argument("--resume requires --journal PATH");
+        if (!out.worker.empty() &&
+            (out.runner.shard.active() || out.runner.resume))
+          throw std::invalid_argument(
+              "--worker excludes --shard and --resume (the coordinator owns "
+              "cell assignment and the journal)");
+      });
 }
 
 std::optional<runner::RunReport> run_or_serve(

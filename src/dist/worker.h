@@ -35,9 +35,14 @@
 #include <string>
 #include <vector>
 
+#include "dist/shard.h"
 #include "obs/metrics.h"
 #include "runner/job.h"
 #include "runner/runner.h"
+
+namespace pert::exp::cli {
+class OptionSet;
+}
 
 namespace pert::dist {
 
@@ -86,6 +91,25 @@ struct WorkerSummary {
 WorkerSummary run_worker(const std::string& address, const std::string& name,
                          const std::vector<runner::Job>& jobs,
                          const WorkerOptions& opts = {});
+
+/// The run-control flags of pert_sim and the runner-backed benches.
+struct RunFlags {
+  runner::RunnerOptions runner;  ///< --jobs, --journal, --resume, --shard
+  std::string json;              ///< --json PATH: where the report goes
+  std::string worker;            ///< --worker HOST:PORT: serve a coordinator
+};
+
+/// Registers --jobs --json --journal --resume --shard --worker on `opts`,
+/// bound to `out`, with the check that runs once they are parsed: --resume
+/// needs --journal, and --worker excludes --shard and --resume because the
+/// coordinator owns cell assignment and its journal. A --journal given with
+/// --worker journals the local run a worker falls back to (run_or_serve).
+void add_run_flags(exp::cli::OptionSet& opts, RunFlags& out);
+
+/// Registers --shard K/N alone, bound to `out`; `units` names what the
+/// index counts ("grid cells", "iterations").
+void add_shard_flag(exp::cli::OptionSet& opts, ShardSpec& out,
+                    const std::string& units);
 
 /// Runs a batch the way every bench and pert_sim does. With `worker` set,
 /// `jobs` are served to the coordinator at that address under the sweep

@@ -1,7 +1,5 @@
 #include "exp/cli.h"
 
-#include <charconv>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -9,40 +7,18 @@ namespace pert::exp {
 
 namespace {
 
-double parse_num(std::string_view s, std::string_view what) {
-  char* end = nullptr;
-  const std::string buf(s);
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || buf.empty())
-    throw std::invalid_argument("bad number for " + std::string(what) + ": " +
-                                buf);
-  return v;
-}
-
-bool parse_bool(std::string_view s, std::string_view what) {
-  if (s == "1" || s == "true" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "off") return false;
-  throw std::invalid_argument("bad boolean for " + std::string(what) + ": " +
-                              std::string(s));
-}
-
 std::vector<double> parse_ms_list(std::string_view s) {
   std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
+  for (std::size_t pos = 0;;) {
     const std::size_t comma = s.find(',', pos);
-    const std::string_view tok =
-        s.substr(pos, comma == std::string_view::npos ? s.size() - pos
-                                                      : comma - pos);
-    out.push_back(parse_num(tok, "rtts element") * 1e-3);
-    if (comma == std::string_view::npos) break;
+    out.push_back(cli::parse_double(s.substr(pos, comma - pos)) * 1e-3);
+    if (comma == std::string_view::npos) return out;
     pos = comma + 1;
   }
-  return out;
 }
 
 double parse_prob(std::string_view s, std::string_view what) {
-  const double v = parse_num(s, what);
+  const double v = cli::parse_double(s);
   if (v < 0.0 || v > 1.0)
     throw std::invalid_argument(std::string(what) + " must be in [0,1], got " +
                                 std::string(s));
@@ -50,7 +26,7 @@ double parse_prob(std::string_view s, std::string_view what) {
 }
 
 double parse_nonneg(std::string_view s, std::string_view what) {
-  const double v = parse_num(s, what);
+  const double v = cli::parse_double(s);
   if (v < 0.0)
     throw std::invalid_argument(std::string(what) + " must be >= 0, got " +
                                 std::string(s));
@@ -154,7 +130,7 @@ void parse_impairment(std::string_view spec, net::ImpairmentConfig& out) {
       else if (k == "period")
         out.flap.period = parse_nonneg(v, "flap period");
       else if (k == "count")
-        out.flap.count = static_cast<std::int32_t>(parse_nonneg(v, "flap count"));
+        out.flap.count = cli::parse_int<std::int32_t>(v);
       else
         throw std::invalid_argument("unknown impair flap key: " +
                                     std::string(k));
@@ -181,111 +157,93 @@ double parse_rate(std::string_view s) {
     case 'G': mult = 1e9; num = s.substr(0, s.size() - 1); break;
     default: break;
   }
-  const double v = parse_num(num, "rate") * mult;
+  const double v = cli::parse_double(num) * mult;
   if (v <= 0) throw std::invalid_argument("rate must be positive");
   return v;
 }
 
-CliOptions parse_cli(const std::vector<std::string>& args) {
-  CliOptions o;
-  for (const std::string& tok : args) {
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos)
-      throw std::invalid_argument("expected key=value, got: " + tok);
-    const std::string_view key = std::string_view(tok).substr(0, eq);
-    const std::string_view val = std::string_view(tok).substr(eq + 1);
-
-    if (key == "scheme") {
-      o.schemes = parse_scheme_list(val);
-      o.cfg.scheme = o.schemes.front();
-    } else if (key == "bw") {
-      o.cfg.bottleneck_bps = parse_rate(val);
-    } else if (key == "rtt") {
-      o.cfg.rtt = parse_num(val, key) * 1e-3;
-    } else if (key == "rtts") {
-      o.cfg.flow_rtts = parse_ms_list(val);
-    } else if (key == "flows") {
-      o.cfg.num_fwd_flows = static_cast<std::int32_t>(parse_num(val, key));
-    } else if (key == "rev_flows") {
-      o.cfg.num_rev_flows = static_cast<std::int32_t>(parse_num(val, key));
-    } else if (key == "web") {
-      o.cfg.num_web_sessions = static_cast<std::int32_t>(parse_num(val, key));
-    } else if (key == "buffer") {
-      o.cfg.buffer_pkts = static_cast<std::int32_t>(parse_num(val, key));
-    } else if (key == "seed") {
-      o.cfg.seed = static_cast<std::uint64_t>(parse_num(val, key));
-    } else if (key == "warmup") {
-      o.warmup = parse_num(val, key);
-    } else if (key == "measure") {
-      o.measure = parse_num(val, key);
-    } else if (key == "start_window") {
-      o.cfg.start_window = parse_num(val, key);
-    } else if (key == "sack_fraction") {
-      o.cfg.nonproactive_fraction = parse_num(val, key);
-    } else if (key == "beta") {
-      o.cfg.pert.early_beta = parse_num(val, key);
-    } else if (key == "pmax") {
-      o.cfg.pert.pmax = parse_num(val, key);
-    } else if (key == "gentle") {
-      o.cfg.pert.gentle = parse_bool(val, key);
-    } else if (key == "owd") {
-      o.cfg.pert.use_one_way_delay = parse_bool(val, key);
-    } else if (key == "adaptive") {
-      o.cfg.pert.adaptive_pmax = parse_bool(val, key);
-    } else if (key == "trace_out") {
-      o.trace_out = val;
-    } else if (key == "series_out") {
-      o.series_out = val;
-    } else if (key == "trace") {
-      o.trace_json = val;
-      o.cfg.obs.trace.enabled = true;
-    } else if (key == "metrics") {
-      o.metrics_json = val;
-      o.cfg.obs.metrics = true;
-    } else if (key == "obs_interval") {
-      const double ms = parse_num(val, key);
-      if (ms <= 0) throw std::invalid_argument("obs_interval must be > 0");
-      o.cfg.obs.sample_interval = ms * 1e-3;
-    } else if (key == "impair") {
-      parse_impairment(val, o.cfg.impair);
-    } else {
-      throw std::invalid_argument("unknown key: " + std::string(key));
-    }
-  }
-  if (o.cfg.num_fwd_flows <= 0)
-    throw std::invalid_argument("flows must be >= 1");
-  if (o.warmup < 0 || o.measure <= 0)
-    throw std::invalid_argument("warmup/measure out of range");
-  return o;
-}
-
-std::string cli_usage() {
+void add_scenario_keys(cli::OptionSet& keys, CliOptions& o) {
   std::string aliases;
   for (const SchemeAlias& a : scheme_aliases())
     aliases += (aliases.empty() ? "" : "|") + std::string(a.alias);
-  return "usage: pert_sim [--jobs N] [--json PATH] [--journal PATH "
-         "[--resume]] key=value ...\n"
-         "       pert_sim repro=<bundle.json>   (replay a fuzzer repro "
-         "bundle)\n"
-         "       pert_sim schemes               (list CC modules + queue "
-         "disciplines)\n"
-         "  scheme=" + aliases + "\n"
-         "         or any cc/qdisc pair, e.g. scheme=cubic/codel, "
-         "scheme=dctcp/red+ecn\n"
-         "         (comma list runs one scenario per scheme, in parallel "
-         "with --jobs)\n"
-         "  bw=150M rtt=60 [rtts=12,24,36] flows=50 [rev_flows=0] [web=0]\n"
-         "  [buffer=<pkts>] [seed=1] [warmup=20] [measure=40] "
-         "[start_window=10]\n"
-         "  [sack_fraction=0] [beta=0.35] [pmax=0.05] [gentle=1] [owd=0] "
-         "[adaptive=0]\n"
-         "  [trace_out=trace.csv] [series_out=queue.csv] "
-         "[trace=events.json]\n"
-         "  [metrics=metrics.json] [obs_interval=100]\n"
-         "  [impair=loss:p=0.01] [impair=gilbert:enter=,exit=,loss_bad=,"
-         "loss_good=]\n"
-         "  [impair=reorder:p=,min_ms=,max_ms=] [impair=jitter:max_ms=]\n"
-         "  [impair=biterror:ber=] [impair=flap:first=,down=,period=,count=]\n";
+  const auto ms = [](const std::string& v) {
+    return cli::parse_double(v) * 1e-3;
+  };
+  keys.opt("scheme", &o.schemes, parse_scheme_list,
+           aliases + ", or any cc/qdisc[+ecn|-ecn] spec (e.g. cubic/codel); "
+           "a comma list runs one job per scheme",
+           "SPEC[,SPEC...]")
+      .opt("bw", &o.cfg.bottleneck_bps, parse_rate,
+           "bottleneck rate in bits/s, with an optional k/M/G suffix", "RATE")
+      .opt("rtt", &o.cfg.rtt, ms, "end-to-end RTT in milliseconds", "MS")
+      .opt("rtts", &o.cfg.flow_rtts, parse_ms_list,
+           "per-flow RTT list (overrides rtt for the long-term flows)",
+           "MS,MS,...")
+      .opt("flows", &o.cfg.num_fwd_flows, "long-term forward flows (>= 1)")
+      .opt("rev_flows", &o.cfg.num_rev_flows, "long-term reverse flows")
+      .opt("web", &o.cfg.num_web_sessions, "web sessions")
+      .opt("buffer", &o.cfg.buffer_pkts,
+           "bottleneck buffer in packets (0 = the BDP, at least 2 per flow)",
+           "PKTS")
+      .opt("seed", &o.cfg.seed, "base seed")
+      .opt("warmup", &o.warmup, "seconds run before the measurement window",
+           "S")
+      .opt("measure", &o.measure, "measurement window in seconds (> 0)", "S")
+      .opt("start_window", &o.cfg.start_window,
+           "long-term flows start uniformly in [0, S) seconds", "S")
+      .opt("sack_fraction", &o.cfg.nonproactive_fraction,
+           "fraction of flows forced to plain SACK", "0..1")
+      .opt("beta", &o.cfg.pert.early_beta,
+           "PERT early response: cwnd *= 1 - beta", "0..1")
+      .opt("pmax", &o.cfg.pert.pmax, "PERT response probability at T_max",
+           "0..1")
+      .opt("gentle", &o.cfg.pert.gentle,
+           "PERT ramps p_max -> 1 on [T_max, 2 T_max] (gentle RED)")
+      .opt("owd", &o.cfg.pert.use_one_way_delay,
+           "PERT reads one-way forward delay instead of RTT")
+      .opt("adaptive", &o.cfg.pert.adaptive_pmax,
+           "PERT adapts p_max to hold the queueing delay in [T_min, T_max]")
+      .opt("trace_out", &o.trace_out,
+           "record the tagged flow's trace (pert-trace v1)", "PATH")
+      .opt("series_out", &o.series_out,
+           "bottleneck queue length as t,value CSV lines, one per "
+           "obs_interval",
+           "PATH")
+      .opt("trace", &o.trace_json,
+           "structured event trace (Chrome trace_event JSON)", "PATH")
+      .opt("metrics", &o.metrics_json,
+           "metric-registry snapshot JSON (the RunReport's registry "
+           "encoding)",
+           "PATH")
+      .opt("obs_interval", &o.cfg.obs.sample_interval,
+           [ms](const std::string& v) {
+             const double s = ms(v);
+             if (s <= 0) throw std::invalid_argument("must be > 0");
+             return s;
+           },
+           "observability sampling cadence in milliseconds; also paces "
+           "series_out",
+           "MS")
+      .opt("impair", &o.cfg.impair,
+           [&o](const std::string& v) {
+             net::ImpairmentConfig merged = o.cfg.impair;
+             parse_impairment(v, merged);
+             return merged;
+           },
+           "impairment model; repeat to compose: loss:p= | "
+           "gilbert:enter=,exit=[,loss_bad=][,loss_good=] | "
+           "reorder:p=,min_ms=,max_ms= | jitter:max_ms= | biterror:ber= | "
+           "flap:first=,down=[,period=][,count=]",
+           "MODEL:K=V,...")
+      .check([&o] {
+        if (o.cfg.num_fwd_flows <= 0)
+          throw std::invalid_argument("flows must be >= 1");
+        if (o.warmup < 0 || o.measure <= 0)
+          throw std::invalid_argument("warmup/measure out of range");
+        o.cfg.scheme = o.schemes.front();
+        if (!o.trace_json.empty()) o.cfg.obs.trace.enabled = true;
+        if (!o.metrics_json.empty()) o.cfg.obs.metrics = true;
+      });
 }
 
 }  // namespace pert::exp

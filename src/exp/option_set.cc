@@ -3,169 +3,164 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <exception>
+#include <utility>
 
 namespace pert::exp::cli {
+
+double parse_double(std::string_view s) {
+  const std::string buf(s);
+  char* end = nullptr;
+  const double v = std::strtod(buf.c_str(), &end);
+  if (buf.empty() || end != buf.c_str() + buf.size())
+    throw std::invalid_argument("expected a number, got: " + buf);
+  return v;
+}
+
+bool parse_bool(std::string_view s) {
+  if (s == "1" || s == "true" || s == "on") return true;
+  if (s == "0" || s == "false" || s == "off") return false;
+  throw std::invalid_argument("expected 0|1|true|false|on|off, got: " +
+                              std::string(s));
+}
 
 OptionSet::OptionSet(std::string program, std::string about)
     : program_(std::move(program)), about_(std::move(about)) {}
 
+OptionSet& OptionSet::add(const std::string& name,
+                          std::function<void(const std::string&)> set,
+                          const std::string& help, const std::string& metavar) {
+  specs_.push_back({name, false, std::move(set), help, metavar});
+  return *this;
+}
+
 OptionSet& OptionSet::flag(const std::string& name, bool* out,
                            const std::string& help) {
-  specs_.push_back({name, Kind::kFlag, out, help, ""});
+  specs_.push_back(
+      {name, true, [out](const std::string&) { *out = true; }, help, ""});
   return *this;
 }
 
 OptionSet& OptionSet::opt(const std::string& name, std::string* out,
                           const std::string& help, const std::string& metavar) {
-  specs_.push_back({name, Kind::kString, out, help, metavar});
-  return *this;
-}
-
-OptionSet& OptionSet::opt(const std::string& name, unsigned* out,
-                          const std::string& help, const std::string& metavar) {
-  specs_.push_back({name, Kind::kUnsigned, out, help, metavar});
-  return *this;
-}
-
-OptionSet& OptionSet::opt(const std::string& name, std::uint64_t* out,
-                          const std::string& help, const std::string& metavar) {
-  specs_.push_back({name, Kind::kUint64, out, help, metavar});
-  return *this;
+  return add(name, [out](const std::string& v) { *out = v; }, help, metavar);
 }
 
 OptionSet& OptionSet::opt(const std::string& name, double* out,
                           const std::string& help, const std::string& metavar) {
-  specs_.push_back({name, Kind::kDouble, out, help, metavar});
+  return opt(name, out, parse_double, help, metavar);
+}
+
+OptionSet& OptionSet::opt(const std::string& name, bool* out,
+                          const std::string& help, const std::string& metavar) {
+  return opt(name, out, parse_bool, help, metavar);
+}
+
+OptionSet& OptionSet::operands(std::vector<std::string>* out,
+                               const std::string& metavar) {
+  operands_ = out;
+  operands_metavar_ = metavar;
   return *this;
 }
 
-OptionSet& OptionSet::multi(const std::string& name,
-                            std::vector<std::string>* out,
-                            const std::string& help,
-                            const std::string& metavar) {
-  specs_.push_back({name, Kind::kMulti, out, help, metavar});
+OptionSet& OptionSet::check(std::function<void()> fn) {
+  checks_.push_back(std::move(fn));
   return *this;
 }
 
-OptionSet& OptionSet::positionals(std::vector<std::string>* out,
-                                  const std::string& help) {
-  positionals_ = out;
-  positionals_help_ = help;
-  return *this;
-}
-
-const OptionSet::Spec* OptionSet::find(const std::string& name) const {
-  for (const Spec& s : specs_)
+OptionSet::Spec* OptionSet::find(std::string_view name) {
+  for (Spec& s : specs_)
     if (s.name == name) return &s;
   return nullptr;
 }
 
-std::string OptionSet::apply(const Spec& spec, const std::string& value) {
-  switch (spec.kind) {
-    case Kind::kFlag:
-      return spec.name + " does not take a value";
-    case Kind::kString:
-      *static_cast<std::string*>(spec.out) = value;
-      return {};
-    case Kind::kMulti:
-      static_cast<std::vector<std::string>*>(spec.out)->push_back(value);
-      return {};
-    case Kind::kUnsigned:
-    case Kind::kUint64: {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0')
-        return spec.name + " expects a number, got: " + value;
-      if (spec.kind == Kind::kUnsigned)
-        *static_cast<unsigned*>(spec.out) = static_cast<unsigned>(v);
-      else
-        *static_cast<std::uint64_t*>(spec.out) = v;
-      return {};
+bool OptionSet::parse(const std::vector<std::string>& args) {
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (arg == "-h" || arg == "--help") return false;
+    const bool dashed = arg.size() >= 2 && arg[0] == '-';
+    const std::size_t eq = arg.find('=');
+    if (!dashed && eq == std::string::npos) {
+      if (operands_ == nullptr)
+        throw std::invalid_argument("unexpected argument: " + arg);
+      operands_->push_back(arg);
+      continue;
     }
-    case Kind::kDouble: {
-      char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0')
-        return spec.name + " expects a number, got: " + value;
-      *static_cast<double*>(spec.out) = v;
-      return {};
+    const std::string name = arg.substr(0, eq);
+    Spec* spec = find(name);
+    if (spec == nullptr) {
+      if (!dashed && operands_ != nullptr) {  // an operand that has an '='
+        operands_->push_back(arg);
+        continue;
+      }
+      throw std::invalid_argument(
+          (dashed ? "unknown flag: " : "unknown key: ") + name);
     }
+    std::string value;
+    if (spec->is_flag) {
+      if (eq != std::string::npos)
+        throw std::invalid_argument(name + " does not take a value");
+    } else if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < args.size()) {
+      value = args[++i];
+    } else {
+      throw std::invalid_argument(name + " needs a value");
+    }
+    try {
+      spec->set(value);
+    } catch (const std::exception& e) {
+      throw std::invalid_argument(name + ": " + e.what());
+    }
+    spec->given = true;
   }
-  return "internal: unknown option kind";
+  for (const auto& fn : checks_) fn();
+  return true;
 }
 
-OptionSet::Result OptionSet::parse(int argc, char** argv) const {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-h" || arg == "--help") {
-      std::fputs(usage().c_str(), stdout);
-      return Result::kHelp;
-    }
-    if (arg.size() >= 2 && arg[0] == '-') {
-      std::string name = arg;
-      std::string inline_value;
-      bool has_inline = false;
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        name = arg.substr(0, eq);
-        inline_value = arg.substr(eq + 1);
-        has_inline = true;
-      }
-      const Spec* spec = find(name);
-      if (spec == nullptr) {
-        std::fprintf(stderr, "error: unknown flag: %s\n%s", name.c_str(),
-                     usage().c_str());
-        return Result::kError;
-      }
-      std::string err;
-      if (spec->kind == Kind::kFlag) {
-        if (has_inline) {
-          err = spec->name + " does not take a value";
-        } else {
-          *static_cast<bool*>(spec->out) = true;
-        }
-      } else if (has_inline) {
-        err = apply(*spec, inline_value);
-      } else if (i + 1 < argc) {
-        err = apply(*spec, argv[++i]);
-      } else {
-        err = spec->name + " needs a value";
-      }
-      if (!err.empty()) {
-        std::fprintf(stderr, "error: %s\n%s", err.c_str(), usage().c_str());
-        return Result::kError;
-      }
-      continue;
-    }
-    if (positionals_ != nullptr) {
-      positionals_->push_back(arg);
-      continue;
-    }
-    std::fprintf(stderr, "error: unexpected argument: %s\n%s", arg.c_str(),
-                 usage().c_str());
-    return Result::kError;
+void OptionSet::parse_or_exit(int argc, char** argv, int error_status) {
+  try {
+    if (parse(std::vector<std::string>(argv + 1, argv + argc))) return;
+    std::fputs(usage().c_str(), stdout);
+    std::exit(0);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n%s", e.what(), usage().c_str());
+    std::exit(error_status);
   }
-  return Result::kOk;
+}
+
+bool OptionSet::given(const std::string& name) const {
+  for (const Spec& s : specs_)
+    if (s.name == name) return s.given;
+  return false;
 }
 
 std::string OptionSet::usage() const {
-  std::string out = "usage: " + program_ + " [options]";
-  if (positionals_ != nullptr) out += " [" + positionals_help_ + " ...]";
+  const auto is_key = [](const Spec& s) { return s.name[0] != '-'; };
+  std::string out = "usage: " + program_;
+  if (!std::all_of(specs_.begin(), specs_.end(), is_key)) out += " [options]";
+  if (std::any_of(specs_.begin(), specs_.end(), is_key))
+    out += " [key=value ...]";
+  if (operands_ != nullptr) out += " " + operands_metavar_;
   out += "\n";
   if (!about_.empty()) out += about_ + "\n";
-  if (!specs_.empty()) out += "\noptions:\n";
-  // Align help text past the longest "--name METAVAR" column.
-  std::size_t width = 0;
-  auto left_of = [](const Spec& s) {
-    return s.kind == Kind::kFlag ? s.name : s.name + " " + s.metavar;
+  // Align help text past the longest "--name METAVAR" / "key=METAVAR".
+  const auto left_of = [&](const Spec& s) {
+    return s.is_flag ? s.name
+                     : s.name + (is_key(s) ? "=" : " ") + s.metavar;
   };
+  std::size_t width = 0;
   for (const Spec& s : specs_) width = std::max(width, left_of(s).size());
-  for (const Spec& s : specs_) {
-    const std::string left = left_of(s);
-    out += "  " + left + std::string(width - left.size() + 2, ' ') + s.help;
-    if (s.kind == Kind::kMulti) out += " (may repeat)";
-    out += "\n";
+  for (const bool keys : {false, true}) {
+    bool first = true;
+    for (const Spec& s : specs_) {
+      if (is_key(s) != keys) continue;
+      if (first) out += keys ? "\nkeys:\n" : "\noptions:\n";
+      first = false;
+      const std::string left = left_of(s);
+      out += "  " + left + std::string(width - left.size() + 2, ' ') + s.help +
+             "\n";
+    }
   }
   return out;
 }

@@ -1,9 +1,11 @@
 #include "exp/scheme.h"
 
+#include <cstdio>
 #include <mutex>
 #include <utility>
 
 #include "core/cc_pert_modules.h"
+#include "exp/table.h"
 #include "net/qdisc_registry.h"
 #include "sim/errors.h"
 #include "sim/suggest.h"
@@ -119,6 +121,27 @@ SchemeSpec parse_scheme_spec(std::string_view text) {
   const bool ecn = ecn_forced ? ecn_value : default_ecn;
   return SchemeSpec{explicit_spec(cc, qdisc, ecn, default_ecn), cc, qdisc,
                     ecn};
+}
+
+void print_scheme_catalog() {
+  ensure_scheme_modules();
+  std::printf(
+      "congestion-control modules (the <cc> of a <cc>/<qdisc> spec):\n");
+  Table cc({"name", "ecn", "summary"});
+  for (const tcp::CcInfo& m : tcp::CcRegistry::instance().list())
+    cc.row({m.name, m.wants_ecn ? "yes" : "no", m.summary});
+  cc.print();
+  std::printf("\nqueue disciplines:\n");
+  Table qd({"name", "marks", "summary"});
+  for (const net::QdiscInfo& m : net::QdiscRegistry::instance().list())
+    qd.row({m.name, m.marks_ecn ? "yes" : "no", m.summary});
+  qd.print();
+  std::printf("\npaper scheme names:");
+  for (const SchemeAlias& a : kAliases)
+    std::printf(" %.*s", static_cast<int>(a.alias.size()), a.alias.data());
+  std::printf(
+      "\nfree-form combinations take an optional +ecn/-ecn suffix, e.g.\n"
+      "  cubic/codel  dctcp/red+ecn  sack/pie-ecn\n");
 }
 
 std::vector<SchemeSpec> parse_scheme_list(std::string_view text) {

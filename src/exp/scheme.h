@@ -56,6 +56,11 @@ std::span<const SchemeAlias> scheme_aliases() noexcept;
 /// using CcRegistrar/QdiscRegistrar are independent of it.
 void ensure_scheme_modules();
 
+/// Prints the scheme vocabulary to stdout: the registered congestion-control
+/// modules and queue disciplines, the paper scheme names and the spec
+/// syntax. This is --list-schemes in pert_sim and the benches.
+void print_scheme_catalog();
+
 /// Parses a scheme string: an alias from scheme_aliases(), or a free-form
 /// "cc/qdisc" combination ("cubic/codel", "dctcp/red+ecn"), where an
 /// optional "+ecn" / "-ecn" suffix overrides the default (ECN on when the CC

@@ -1,0 +1,164 @@
+// The command-line surface of every bench and tool binary, driven as a user
+// would: --help answers with exit 0 and lists exactly the flags the binary
+// reads, and every bench flag a bench does not read is a usage error.
+//
+// A flag under test is followed by --help, so a binary that wrongly accepts
+// it prints its usage and exits 0 instead of running its grid.
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <set>
+#include <string>
+#include <vector>
+
+namespace {
+
+struct Outcome {
+  int status;
+  std::string output;  ///< stdout and stderr
+};
+
+Outcome run(const std::string& command) {
+  Outcome r{-1, ""};
+  std::FILE* pipe = popen((command + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return r;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;)
+    r.output.append(buf, n);
+  const int raw = pclose(pipe);
+  r.status = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+  return r;
+}
+
+std::string bench(const std::string& name) {
+  return std::string(PERT_BENCH_DIR) + "/" + name;
+}
+std::string tool(const std::string& name) {
+  return std::string(PERT_TOOLS_DIR) + "/" + name;
+}
+
+/// Every flag some bench reads, spelled with a value where it takes one.
+const std::vector<std::string> kBenchFlags = {
+    "--full",         "--smoke",    "--schemes pert", "--list-schemes",
+    "--sim-threads 2", "--jobs 2",  "--json x",       "--journal x",
+    "--resume",       "--shard 0/2", "--worker h:1",  "--trace-dir x"};
+
+const std::set<std::string> kRunner = {"--jobs",  "--json",   "--journal",
+                                       "--resume", "--shard", "--worker",
+                                       "--trace-dir"};
+
+std::set<std::string> with(std::set<std::string> base,
+                           const std::set<std::string>& more) {
+  base.insert(more.begin(), more.end());
+  return base;
+}
+
+struct Bench {
+  const char* name;
+  std::set<std::string> reads;
+};
+
+const std::vector<Bench>& benches() {
+  const std::set<std::string> sweep =
+      with(kRunner, {"--full", "--schemes", "--list-schemes"});
+  const std::set<std::string> smoke_sweep =
+      with(sweep, {"--smoke", "--sim-threads"});
+  static const std::vector<Bench> all = {
+      {"bench_fig02_loss_correlation", {"--full"}},
+      {"bench_fig03_predictors", {"--full"}},
+      {"bench_fig04_fp_queue_pdf", {"--full"}},
+      {"bench_fig05_response_curve", {}},
+      {"bench_fig06_bandwidth", sweep},
+      {"bench_fig07_rtt", sweep},
+      {"bench_fig08_num_flows", smoke_sweep},
+      {"bench_fig09_web_traffic", sweep},
+      {"bench_fig11_multibottleneck", smoke_sweep},
+      {"bench_fig12_dynamics", {"--full"}},
+      {"bench_fig13_fluid_stability", {"--full"}},
+      {"bench_fig14_pert_pi", sweep},
+      {"bench_table1_rtt_unfairness", {"--full"}},
+      {"bench_robustness", with(sweep, {"--smoke"})},
+      {"bench_ablations", with(kRunner, {"--full"})},
+      {"bench_ext_aqm_generality",
+       with(kRunner, {"--full", "--smoke", "--sim-threads"})},
+  };
+  return all;
+}
+
+std::string name_of(const std::string& flag) {
+  return flag.substr(0, flag.find(' '));
+}
+
+TEST(CliSurface, EveryBenchHelpListsExactlyTheFlagsItReads) {
+  for (const Bench& b : benches()) {
+    const Outcome r = run(bench(b.name) + " --help");
+    EXPECT_EQ(r.status, 0) << b.name;
+    for (const std::string& flag : kBenchFlags) {
+      const std::string name = name_of(flag);
+      EXPECT_EQ(r.output.find("\n  " + name + " ") != std::string::npos,
+                b.reads.count(name) == 1)
+          << b.name << " --help and " << name;
+    }
+  }
+}
+
+TEST(CliSurface, EveryBenchRejectsTheFlagsItDoesNotRead) {
+  for (const Bench& b : benches()) {
+    for (const std::string& flag : kBenchFlags) {
+      const std::string name = name_of(flag);
+      if (b.reads.count(name) == 1) continue;
+      const Outcome r = run(bench(b.name) + " " + flag + " --help");
+      EXPECT_EQ(r.status, 2) << b.name << " " << flag;
+      EXPECT_NE(r.output.find("unknown flag: " + name), std::string::npos)
+          << b.name << " " << flag << ":\n" << r.output;
+    }
+  }
+}
+
+TEST(CliSurface, EveryToolAnswersHelp) {
+  for (const std::string& path :
+       {tool("pert_sim"), tool("fuzz_scenarios"), tool("sweep_merge"),
+        tool("sweep_coordinator"), tool("chaos_proxy"), tool("perf_baseline"),
+        bench("bench_micro")}) {
+    const Outcome r = run(path + " --help");
+    EXPECT_EQ(r.status, 0) << path << ":\n" << r.output;
+    EXPECT_FALSE(r.output.empty()) << path;
+  }
+}
+
+TEST(CliSurface, OutOfRangeAndRetiredSpellingsAreUsageErrors) {
+  const struct {
+    std::string command;
+    int status;
+  } cases[] = {
+      // Integers are range-checked against the type they are stored in.
+      {tool("sweep_coordinator") + " --port 70000", 1},
+      {tool("chaos_proxy") + " --upstream h:1 --port 65537", 1},
+      {tool("fuzz_scenarios") + " --seed -1", 2},
+      {tool("pert_sim") + " --jobs -1", 2},
+      // Spellings pert_sim no longer takes: --list-schemes, --worker and
+      // repeatable impair= replace them.
+      {tool("pert_sim") + " schemes", 2},
+      {tool("pert_sim") + " worker=h:1", 2},
+      {tool("pert_sim") + " --impair loss:p=0.01", 2},
+  };
+  for (const auto& c : cases) {
+    const Outcome r = run(c.command + " --help");
+    EXPECT_EQ(r.status, c.status) << c.command << ":\n" << r.output;
+    EXPECT_NE(r.output.find("error: "), std::string::npos) << c.command;
+  }
+}
+
+TEST(FuzzScenariosCli, ExplicitItersWinOverBudgetMode) {
+  // --iters equal to its default still bounds the campaign under
+  // --budget-s: shard 24/25 of 25 iterations owns exactly one scenario.
+  const Outcome r = run(tool("fuzz_scenarios") +
+                    " --iters 25 --shard 24/25 --budget-s 60 --no-shrink");
+  EXPECT_EQ(r.status, 0) << r.output;
+  EXPECT_NE(r.output.find("fuzz: 1 scenario run"), std::string::npos)
+      << r.output;
+}
+
+}  // namespace

@@ -33,7 +33,7 @@ void on_term(int) { g_stop.store(true); }
 int main(int argc, char** argv) {
   std::string upstream;
   std::string host = "127.0.0.1";
-  std::uint64_t port = 0;
+  std::uint16_t port = 0;
   std::uint64_t seed = 1;
   pert::dist::ChaosConfig cfg;
   double delay_max_ms = 0;
@@ -59,11 +59,7 @@ int main(int argc, char** argv) {
       .opt("--partition-heal-ms", &partition_heal_ms,
            "refuse new connections for this long after a partition")
       .flag("--quiet", &quiet, "suppress the exit stats line");
-  switch (opts.parse(argc, argv)) {
-    case pert::exp::cli::OptionSet::Result::kOk: break;
-    case pert::exp::cli::OptionSet::Result::kHelp: return 0;
-    case pert::exp::cli::OptionSet::Result::kError: return 1;
-  }
+  opts.parse_or_exit(argc, argv, 1);
   if (upstream.empty()) {
     std::fprintf(stderr, "chaos_proxy: --upstream is required\n");
     return 1;
@@ -78,8 +74,7 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   try {
-    pert::dist::ChaosProxy proxy(upstream, cfg, host,
-                                 static_cast<std::uint16_t>(port));
+    pert::dist::ChaosProxy proxy(upstream, cfg, host, port);
     std::printf("listening on %s:%u\n", host.c_str(),
                 static_cast<unsigned>(proxy.port()));
     std::fflush(stdout);  // scripts parse this line; don't buffer

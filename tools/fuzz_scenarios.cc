@@ -17,9 +17,10 @@
 // Exit status: 0 = no violations, 1 = violations found, 2 = usage error.
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
-#include "dist/shard.h"
+#include "dist/worker.h"
 #include "exp/fuzz/fuzz.h"
 #include "exp/fuzz/metamorphic.h"
 #include "exp/option_set.h"
@@ -66,45 +67,31 @@ int main(int argc, char** argv) {
   bool no_shrink = false;
   bool metamorphic = false;
   bool no_corners = false;
-  std::string shard_arg;
   cli::OptionSet flags("fuzz_scenarios",
                        "Randomized scenario fuzzer with invariant checking "
                        "and a fluid-model oracle.");
   flags.opt("--seed", &opts.seed, "base seed; iteration i derives from it")
-      .opt("--iters", &opts.iterations, "scenarios to run")
+      .opt("--iters", &opts.iterations,
+           "scenarios to run (default 25; unbounded under --budget-s "
+           "unless given)")
       .opt("--budget-s", &opts.time_budget_s,
            "stop early after this much wall time (0 = no budget)", "S")
       .opt("--repro-dir", &opts.repro_dir,
-           "write repro bundles for violations into DIR", "DIR")
-      .opt("--shard", &shard_arg,
-           "run only iterations with index % N == K (0-based)", "K/N")
-      .flag("--no-shrink", &no_shrink, "skip shrinking violating scenarios")
+           "write repro bundles for violations into DIR", "DIR");
+  pert::dist::add_shard_flag(flags, opts.shard, "iterations");
+  flags.flag("--no-shrink", &no_shrink, "skip shrinking violating scenarios")
       .flag("--metamorphic", &metamorphic,
             "check metamorphic relations on transformed scenario twins")
       .flag("--no-corners", &no_corners,
             "with --metamorphic: skip the degenerate-corner family")
-      .flag("--verbose", &opts.verbose, "per-iteration progress output");
-  switch (flags.parse(argc, argv)) {
-    case cli::OptionSet::Result::kOk: break;
-    case cli::OptionSet::Result::kHelp: return 0;
-    case cli::OptionSet::Result::kError: return 2;
-  }
+      .flag("--verbose", &opts.verbose, "per-iteration progress output")
+      .check([&opts] {
+        if (opts.time_budget_s < 0)
+          throw std::invalid_argument("--budget-s must be >= 0");
+      });
+  flags.parse_or_exit(argc, argv);
   opts.shrink = !no_shrink;
-  if (!shard_arg.empty()) {
-    try {
-      opts.shard = pert::dist::parse_shard(shard_arg);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n%s", e.what(), flags.usage().c_str());
-      return 2;
-    }
-  }
-  if (opts.time_budget_s < 0) {
-    std::fprintf(stderr,
-                 "error: --budget-s expects a non-negative number\n%s",
-                 flags.usage().c_str());
-    return 2;
-  }
-  if (opts.time_budget_s > 0 && opts.iterations == 25)
+  if (opts.time_budget_s > 0 && !flags.given("--iters"))
     opts.iterations = 100000;  // budget-bounded mode: iterate until time out
 
   if (metamorphic) {

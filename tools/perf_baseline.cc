@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/option_set.h"
 #include "runner/json.h"
 
 namespace {
@@ -236,29 +237,29 @@ int compare(const std::string& base_path, const std::string& cand_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
   double warn_pct = 15.0;
   std::string only;
   std::vector<std::string> pos;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--warn-pct" && i + 1 < args.size()) {
-      warn_pct = std::atof(args[++i].c_str());
-    } else if (args[i] == "--only" && i + 1 < args.size()) {
-      only = args[++i];
-    } else {
-      pos.push_back(args[i]);
-    }
-  }
+  pert::exp::cli::OptionSet opts(
+      "perf_baseline",
+      "  perf_baseline convert <gbench.json> <out.json>\n"
+      "  perf_baseline median <out.json> <in1.json> <in2.json> "
+      "[in3.json ...]\n"
+      "  perf_baseline compare <baseline.json> <candidate.json>");
+  opts.opt("--warn-pct", &warn_pct,
+           "compare: fail (exit 3) when a benchmark slows by more than P "
+           "percent",
+           "P")
+      .opt("--only", &only,
+           "compare: only benchmarks whose name starts with a PREFIX",
+           "PREFIX[,...]")
+      .operands(&pos, "COMMAND FILE...");
+  opts.parse_or_exit(argc, argv);
   if (pos.size() == 3 && pos[0] == "convert") return convert(pos[1], pos[2]);
   if (pos.size() >= 4 && pos[0] == "median")
     return median(pos[1], {pos.begin() + 2, pos.end()});
   if (pos.size() == 3 && pos[0] == "compare")
     return compare(pos[1], pos[2], warn_pct, only);
-  std::cerr << "usage:\n"
-               "  perf_baseline convert <gbench.json> <out.json>\n"
-               "  perf_baseline median <out.json> <in1.json> <in2.json> "
-               "[in3.json ...]\n"
-               "  perf_baseline compare <baseline.json> <candidate.json> "
-               "[--warn-pct P] [--only PREFIX[,...]]\n";
+  std::fputs(opts.usage().c_str(), stderr);
   return 2;
 }

@@ -17,9 +17,11 @@
 //
 //   pert_sim --jobs 0 --json out.json scheme=pert,sack,sack-red,vegas
 //            bw=100M rtt=60 flows=10                        (one line)
+//
+// --help lists every key and flag; --list-schemes prints the scheme
+// vocabulary; repro=BUNDLE replays a fuzzer repro bundle.
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -30,13 +32,11 @@
 #include <utility>
 #include <vector>
 
-#include "dist/shard.h"
 #include "dist/worker.h"
 #include "exp/cli.h"
 #include "exp/fuzz/fuzz.h"
 #include "exp/option_set.h"
 #include "exp/table.h"
-#include "net/qdisc_registry.h"
 #include "obs/probe.h"
 #include "predictors/trace_io.h"
 #include "predictors/trace_recorder.h"
@@ -44,7 +44,6 @@
 #include "runner/report.h"
 #include "runner/runner.h"
 #include "sim/errors.h"
-#include "tcp/cc_registry.h"
 
 namespace {
 
@@ -74,29 +73,6 @@ void print_metrics(const exp::WindowMetrics& m) {
   t.row({"loss events", std::to_string(m.loss_events)});
   t.row({"timeouts", std::to_string(m.timeouts)});
   t.print();
-}
-
-/// `pert_sim schemes`: dumps both registries plus the paper scheme names,
-/// so a user can see what scheme=<cc>/<qdisc> combinations are available.
-int list_schemes() {
-  exp::ensure_scheme_modules();
-  std::printf("congestion-control modules (scheme=<cc>/<qdisc>):\n");
-  exp::Table cc({"name", "ecn", "summary"});
-  for (const tcp::CcInfo& m : tcp::CcRegistry::instance().list())
-    cc.row({m.name, m.wants_ecn ? "yes" : "no", m.summary});
-  cc.print();
-  std::printf("\nqueue disciplines:\n");
-  exp::Table qd({"name", "marks", "summary"});
-  for (const net::QdiscInfo& m : net::QdiscRegistry::instance().list())
-    qd.row({m.name, m.marks_ecn ? "yes" : "no", m.summary});
-  qd.print();
-  std::printf("\npaper scheme names:");
-  for (const exp::SchemeAlias& a : exp::scheme_aliases())
-    std::printf(" %.*s", static_cast<int>(a.alias.size()), a.alias.data());
-  std::printf(
-      "\nfree-form combinations take an optional +ecn/-ecn suffix, e.g.\n"
-      "  scheme=cubic/codel  scheme=dctcp/red+ecn  scheme=sack/pie-ecn\n");
-  return 0;
 }
 
 /// Derives a per-job output path from a user-given one by inserting `tag`
@@ -203,11 +179,10 @@ runner::Job scheme_job(const exp::CliOptions& opt, exp::DumbbellConfig cfg) {
   return job;
 }
 
-/// Runs one job per scheme on the experiment runner (or, with `worker` set,
+/// Runs one job per scheme on the experiment runner (or, under --worker,
 /// serves them to that coordinator; see docs/runner.md "Distributed
 /// sweeps") and prints each scheme's banner, metrics and written files.
-int run(const exp::CliOptions& opt, const runner::RunnerOptions& ropts,
-        const std::string& json_out, const std::string& worker) {
+int run(const exp::CliOptions& opt, const dist::RunFlags& flags) {
   std::vector<runner::Job> batch;
   for (const exp::SchemeSpec& scheme : opt.schemes) {
     exp::DumbbellConfig cfg = opt.cfg;
@@ -217,7 +192,7 @@ int run(const exp::CliOptions& opt, const runner::RunnerOptions& ropts,
   }
 
   const std::optional<runner::RunReport> report =
-      dist::run_or_serve(batch, ropts, worker);
+      dist::run_or_serve(batch, flags.runner, flags.worker);
   if (!report) return 0;
 
   int rc = 0;
@@ -236,10 +211,10 @@ int run(const exp::CliOptions& opt, const runner::RunnerOptions& ropts,
     print_written(outputs_for(opt, scheme));
     std::printf("\n");
   }
-  if (!json_out.empty()) {
+  if (!flags.json.empty()) {
     try {
-      runner::write_report(*report, json_out);
-      std::printf("report written to %s\n", json_out.c_str());
+      runner::write_report(*report, flags.json);
+      std::printf("report written to %s\n", flags.json.c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error writing outputs: %s\n", e.what());
       return 1;
@@ -253,88 +228,41 @@ int run(const exp::CliOptions& opt, const runner::RunnerOptions& ropts,
 int main(int argc, char** argv) {
   using namespace pert;
 
-  // Fuzzer repro bundle replay: self-contained, bypasses the normal
-  // key=value scenario grammar entirely.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "repro=", 6) != 0) continue;
-    try {
-      return exp::fuzz::replay_repro_bundle(argv[i] + 6) ? 0 : 1;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
-
-  unsigned jobs = 1;
-  std::string json_out;
-  std::string journal_path;
-  bool resume = false;
-  std::string shard_arg;
-  std::vector<std::string> impairs;
-  std::vector<std::string> args;
-  exp::cli::OptionSet opts("pert_sim", exp::cli_usage());
-  opts.opt("--jobs", &jobs, "worker threads for multi-scheme runs (0 = all cores)")
-      .opt("--json", &json_out, "export the RunReport as JSON", "PATH")
-      .opt("--journal", &journal_path, "crash-safe journal for --resume", "PATH")
-      .flag("--resume", &resume, "resume completed cells from --journal")
-      .opt("--shard", &shard_arg,
-           "run only batch cells with index % N == K (0-based)", "K/N")
-      .multi("--impair", &impairs, "impairment spec, e.g. loss:p=0.01", "SPEC")
-      .positionals(&args, "key=value");
-  switch (opts.parse(argc, argv)) {
-    case exp::cli::OptionSet::Result::kOk: break;
-    case exp::cli::OptionSet::Result::kHelp: return 0;
-    case exp::cli::OptionSet::Result::kError: return 2;
-  }
-  for (const std::string& spec : impairs) args.push_back("impair=" + spec);
-
-  if (args.size() == 1 && args[0] == "schemes") return list_schemes();
-
-  // worker=HOST:PORT rides in the key=value grammar (like repro=) but is
-  // dispatch, not scenario shape: pull it out before scenario parsing.
-  std::string worker;
-  std::erase_if(args, [&worker](const std::string& a) {
-    if (a.rfind("worker=", 0) != 0) return false;
-    worker = a.substr(7);
-    return true;
-  });
-
-  dist::ShardSpec shard;
-  if (!shard_arg.empty()) {
-    try {
-      shard = dist::parse_shard(shard_arg);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!worker.empty() && (shard.active() || resume || !journal_path.empty())) {
-    std::fprintf(stderr,
-                 "error: worker= is exclusive with --shard/--journal/--resume "
-                 "(the coordinator owns cell assignment and the journal)\n");
-    return 2;
-  }
-
   exp::CliOptions opt;
-  try {
-    opt = exp::parse_cli(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), exp::cli_usage().c_str());
-    return 2;
+  dist::RunFlags flags;
+  bool list_schemes = false;
+  std::string repro;
+  exp::cli::OptionSet opts(
+      "pert_sim",
+      "Runs a dumbbell scenario, one runner job per scheme, and prints the "
+      "windowed metrics.");
+  dist::add_run_flags(opts, flags);
+  opts.flag("--list-schemes", &list_schemes,
+            "print the paper scheme names, CC modules and queue "
+            "disciplines, then exit");
+  exp::add_scenario_keys(opts, opt);
+  opts.opt("repro", &repro,
+           "replay a fuzzer repro bundle instead; exits 0 iff its "
+           "violation reproduces",
+           "BUNDLE")
+      .parse_or_exit(argc, argv);
+
+  if (list_schemes) {
+    exp::print_scheme_catalog();
+    return 0;
+  }
+  if (!repro.empty()) {
+    try {
+      return exp::fuzz::replay_repro_bundle(repro) ? 0 : 1;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
   }
 
-  if (resume && journal_path.empty()) {
-    std::fprintf(stderr, "error: --resume requires --journal PATH\n");
-    return 2;
-  }
-  runner::RunnerOptions ropts;
-  ropts.threads = jobs;
-  ropts.name = "pert_sim";
-  ropts.journal_path = journal_path;
-  ropts.resume = resume;
-  ropts.shard = shard;
+  flags.runner.name = "pert_sim";
   try {
-    return run(opt, ropts, json_out, worker);
+    return run(opt, flags);
   } catch (const sim::ConfigError& e) {
     // Out-of-domain scenario parameters: a usage error, not a crash. Print
     // the human line plus the machine-greppable component=/param= detail.

@@ -31,7 +31,6 @@ void on_term(int) { g_drain.store(true); }
 int main(int argc, char** argv) {
   pert::dist::CoordinatorOptions copts;
   std::string host = "127.0.0.1";
-  std::uint64_t port = 0;
   bool quiet = false;
 
   pert::exp::cli::OptionSet opts("sweep_coordinator");
@@ -40,7 +39,8 @@ int main(int argc, char** argv) {
       .opt("--json", &copts.json_path, "write the final RunReport here",
            "PATH")
       .opt("--host", &host, "listen address", "ADDR")
-      .opt("--port", &port, "listen port (0 = ephemeral, printed on stdout)")
+      .opt("--port", &copts.port,
+           "listen port (0 = ephemeral, printed on stdout)")
       .flag("--resume", &copts.resume,
             "recover completed cells from --journal (and scheduling state "
             "from its .ckpt) before serving")
@@ -60,13 +60,8 @@ int main(int argc, char** argv) {
            "write the coordinator's dist.* metric registry here as JSON",
            "PATH")
       .flag("--quiet", &quiet, "suppress per-cell progress on stderr");
-  switch (opts.parse(argc, argv)) {
-    case pert::exp::cli::OptionSet::Result::kOk: break;
-    case pert::exp::cli::OptionSet::Result::kHelp: return 0;
-    case pert::exp::cli::OptionSet::Result::kError: return 1;
-  }
+  opts.parse_or_exit(argc, argv, 1);
   copts.host = host;
-  copts.port = static_cast<std::uint16_t>(port);
   copts.verbose = !quiet;
   copts.drain = &g_drain;
 

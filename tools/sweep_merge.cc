@@ -10,15 +10,17 @@
 //
 // The merged report goes to --out (atomic replace) or stdout. Exit codes:
 //   0  complete merge (every grid cell covered)
-//   1  validation or I/O error (overlap, grid mismatch, missing cells
-//      without --partial, unreadable input)
+//   1  usage, validation or I/O error (overlap, grid mismatch, missing
+//      cells without --partial, unreadable input)
 //   2  partial merge emitted under --partial (some cells missing)
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dist/merge.h"
+#include "exp/option_set.h"
 #include "runner/report.h"
 
 int main(int argc, char** argv) {
@@ -26,31 +28,20 @@ int main(int argc, char** argv) {
   pert::dist::MergeOptions opts;
   std::vector<std::string> inputs;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "sweep_merge: --out requires a path\n");
-        return 1;
-      }
-      out_path = argv[++i];
-    } else if (arg == "--partial") {
-      opts.allow_partial = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: sweep_merge [--out PATH] [--partial] INPUT...\n");
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "sweep_merge: unknown flag %s\n", arg.c_str());
-      return 1;
-    } else {
-      inputs.push_back(arg);
-    }
-  }
-  if (inputs.empty()) {
-    std::fprintf(stderr,
-                 "usage: sweep_merge [--out PATH] [--partial] INPUT...\n");
-    return 1;
-  }
+  pert::exp::cli::OptionSet flags(
+      "sweep_merge",
+      "Merges per-shard RunReport JSONs and/or journals of one sweep grid "
+      "into one report.");
+  flags.opt("--out", &out_path,
+            "write the merged report here (atomic replace; default stdout)",
+            "PATH")
+      .flag("--partial", &opts.allow_partial,
+            "emit a partial report (exit 2) when cells are missing")
+      .operands(&inputs, "INPUT...")
+      .check([&inputs] {
+        if (inputs.empty()) throw std::invalid_argument("no INPUT given");
+      });
+  flags.parse_or_exit(argc, argv, 1);
 
   try {
     const pert::dist::MergeOutcome m = pert::dist::merge_shards(inputs, opts);
