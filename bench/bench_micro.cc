@@ -278,6 +278,22 @@ BENCHMARK(BM_EndToEndDumbbell1000Flows)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+/// Set-up cost: build and tear down the paper-scale pert dumbbell above
+/// (topology, routes, agents, watchdog) and simulate no time. The argument
+/// is the number of long-term flows; each adds two hosts.
+void BM_DumbbellSetup(benchmark::State& state) {
+  exp::DumbbellConfig c;
+  c.scheme = exp::parse_scheme_spec("pert");
+  c.bottleneck_bps = 150e6;
+  c.rtt = 0.060;
+  c.num_fwd_flows = static_cast<std::int32_t>(state.range(0));
+  for (auto _ : state) {
+    exp::Dumbbell d(c);
+    benchmark::DoNotOptimize(d.network().num_nodes());
+  }
+}
+BENCHMARK(BM_DumbbellSetup)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
+
 /// Paper-scale Figure 10/11 chain (6 routers, 20 hosts per cloud): one
 /// simulated second per iteration; argument = sim_threads as above (the
 /// sharded layout is one shard per router cloud).

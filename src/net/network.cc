@@ -1,9 +1,7 @@
 #include "net/network.h"
 
 #include <cassert>
-#include <limits>
 #include <map>
-#include <queue>
 #include <string>
 
 #include "sim/validate.h"
@@ -16,6 +14,27 @@ namespace {
 /// at a time (builders scope with ShardCursor; engine workers set it per
 /// round), and unsharded networks never read it.
 thread_local int t_shard_cursor = 0;
+
+/// Per node, its (neighbour, link) pairs in link creation order.
+using Adjacency = std::vector<std::vector<std::pair<NodeId, Link*>>>;
+
+/// Breadth-first search from `root` over `adj`: calls found(v, link) for
+/// every other node it reaches, in discovery order, with the link it was
+/// discovered over. Returns the number of nodes reached, root included.
+template <class Found>
+std::size_t bfs(const Adjacency& adj, NodeId root, const Found& found) {
+  std::vector<bool> seen(adj.size(), false);
+  std::vector<NodeId> order{root};  // also the FIFO: order[head..] is queued
+  seen[static_cast<std::size_t>(root)] = true;
+  for (std::size_t head = 0; head < order.size(); ++head)
+    for (const auto& [v, link] : adj[static_cast<std::size_t>(order[head])]) {
+      if (seen[static_cast<std::size_t>(v)]) continue;
+      seen[static_cast<std::size_t>(v)] = true;
+      found(v, link);
+      order.push_back(v);
+    }
+  return order.size();
+}
 }  // namespace
 
 int Network::cursor() noexcept { return t_shard_cursor; }
@@ -159,36 +178,50 @@ std::pair<Link*, Link*> Network::add_duplex_droptail(Node* a, Node* b,
 
 void Network::compute_routes() {
   const std::size_t n = nodes_.size();
-  // Adjacency: for each node, (neighbor, link) ordered by insertion —
-  // deterministic next-hop choice on equal-length paths.
-  std::vector<std::vector<std::pair<NodeId, Link*>>> adj(n);
-  for (const Edge& e : edges_)
-    adj[static_cast<std::size_t>(e.from)].emplace_back(e.to, e.link);
+  const auto at = [](NodeId v) { return static_cast<std::size_t>(v); };
+  // Links out of and into each node, in creation order.
+  Adjacency out(n), in(n);
+  for (const Edge& e : edges_) {
+    out[at(e.from)].emplace_back(e.to, e.link);
+    in[at(e.to)].emplace_back(e.from, e.link);
+  }
 
-  // BFS from every destination over *reversed* edges, recording each node's
-  // forward next-hop link toward that destination.
-  std::vector<std::vector<std::pair<NodeId, Link*>>> radj(n);
-  for (const Edge& e : edges_)
-    radj[static_cast<std::size_t>(e.to)].emplace_back(e.from, e.link);
+  // A leaf's one link out and one link in join it to the same neighbour.
+  // When every node reaches every other, that link out is its next hop
+  // toward everything but itself, so it keeps no table.
+  const auto none = [](NodeId, Link*) {};
+  const bool strongly_connected =
+      n > 0 && bfs(out, 0, none) == n && bfs(in, 0, none) == n;
+  std::vector<NodeId> routers;
+  for (std::size_t v = 0; v < n; ++v) {
+    Node& node = *nodes_[v];
+    const bool leaf = strongly_connected && out[v].size() == 1 &&
+                      in[v].size() == 1 && out[v][0].first == in[v][0].first;
+    node.uplink_ = leaf ? out[v][0].second : nullptr;
+    node.leaf_span_ = leaf ? n : 0;
+    node.routes_.assign(leaf ? 0 : n, nullptr);
+    if (!leaf) routers.push_back(static_cast<NodeId>(v));
+  }
 
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    std::vector<std::int32_t> dist(n, std::numeric_limits<std::int32_t>::max());
-    std::queue<NodeId> bfs;
-    dist[dst] = 0;
-    bfs.push(static_cast<NodeId>(dst));
-    while (!bfs.empty()) {
-      const NodeId u = bfs.front();
-      bfs.pop();
-      for (auto [v, link] : radj[static_cast<std::size_t>(u)]) {
-        auto& dv = dist[static_cast<std::size_t>(v)];
-        if (dv == std::numeric_limits<std::int32_t>::max()) {
-          dv = dist[static_cast<std::size_t>(u)] + 1;
-          // v reaches dst via link (v -> u edge in forward direction).
-          nodes_[static_cast<std::size_t>(v)]->set_route(
-              static_cast<NodeId>(dst), link);
-          bfs.push(v);
-        }
-      }
+  // BFS over reversed links toward each router: the link that discovers a
+  // node is its next hop toward the router, so equal-length paths resolve
+  // by discovery order over links in creation order.
+  for (const NodeId dst : routers)
+    bfs(in, dst, [&](NodeId v, Link* link) {
+      Node& node = *nodes_[at(v)];
+      if (!node.uplink_) node.routes_[at(dst)] = link;
+    });
+
+  // The BFS toward a leaf discovers its neighbour first, over the link into
+  // the leaf, and then every other node in the order the BFS toward the
+  // neighbour does. So a router's entry for a leaf is that link if the
+  // router is the neighbour, and its entry for the neighbour otherwise.
+  for (std::size_t leaf = 0; leaf < n; ++leaf) {
+    if (!nodes_[leaf]->uplink_) continue;
+    const auto [nb, into] = in[leaf][0];
+    for (const NodeId r : routers) {
+      std::vector<Link*>& table = nodes_[at(r)]->routes_;
+      table[leaf] = r == nb ? into : table[at(nb)];
     }
   }
 }

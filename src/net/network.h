@@ -108,6 +108,14 @@ class Network {
     return out;
   }
 
+  /// A unidirectional link with its endpoints.
+  struct Edge {
+    NodeId from, to;
+    Link* link;
+  };
+  /// Every link with its endpoints, in creation order.
+  const std::vector<Edge>& edges() const noexcept { return edges_; }
+
   /// Adds a unidirectional link a -> b with the given queue discipline.
   /// The link's transmitter runs on a's shard — the queue must have been
   /// constructed under that shard's cursor.
@@ -127,8 +135,11 @@ class Network {
                                               double rate_bps, sim::Time delay,
                                               std::int32_t cap);
 
-  /// Computes hop-count shortest paths (BFS per destination, deterministic)
-  /// and installs next-hop routes on every node. Call after topology changes.
+  /// Computes hop-count shortest paths and installs next hops on every node,
+  /// replacing any routes set before. Ties between equal-length paths go by
+  /// BFS discovery order over links in creation order. Leaves keep only
+  /// their uplink; the other nodes get a table with an entry per node (see
+  /// node.h). Call after topology changes.
   void compute_routes();
 
   /// Registers an agent (owned by the network); binds it to node:port when
@@ -174,11 +185,6 @@ class Network {
   std::uint64_t total_dispatched() const;
 
  private:
-  struct Edge {
-    NodeId from, to;
-    Link* link;
-  };
-
   /// Active shard for this thread (always 0 when unsharded). Out of line:
   /// the thread_local lives in network.cc.
   static int cursor() noexcept;

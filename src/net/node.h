@@ -1,14 +1,20 @@
 // Node: packet forwarding + local agent demultiplexing.
 //
-// Routing is static: the Network builder computes shortest paths (BFS on hop
-// count, deterministic tie-break by node id) and installs a next-hop Link per
-// destination. Agents bind to ports; an arriving packet addressed to this
-// node is handed to the agent bound to its dst_port.
+// Routing is static: Network::compute_routes finds hop-count shortest paths
+// with a BFS over reversed links toward each destination and installs, per
+// node, the link the BFS first discovered it over. Equal-length paths are
+// therefore broken by BFS discovery order over links in creation order. A
+// leaf (one link out and one link in, both to the same neighbour, in a
+// network where every node reaches every other) keeps that link as its
+// uplink and no table; every other node keeps a table indexed by NodeId.
+// Agents bind to ports; an arriving packet addressed to this node is handed
+// to the agent bound to its dst_port.
 #pragma once
 
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/packet.h"
 
@@ -40,11 +46,16 @@ class Node {
 
   NodeId id() const noexcept { return id_; }
 
-  /// Installs/overwrites the next hop toward `dst`.
-  void set_route(NodeId dst, Link* out) { routes_[dst] = out; }
+  /// Installs/overwrites the next hop toward `dst` (nullptr black-holes it).
+  /// A leaf first spells its uplink out into a table, so only `dst` changes.
+  void set_route(NodeId dst, Link* out);
+
+  /// Next hop toward `dst`; nullptr for this node itself and for
+  /// destinations without a route.
   Link* route(NodeId dst) const {
-    auto it = routes_.find(dst);
-    return it == routes_.end() ? nullptr : it->second;
+    const auto i = static_cast<std::size_t>(dst);
+    if (uplink_) return i < leaf_span_ && dst != id_ ? uplink_ : nullptr;
+    return i < routes_.size() ? routes_[i] : nullptr;
   }
 
   /// Binds an agent to a local port (one agent per port).
@@ -61,9 +72,16 @@ class Node {
   std::uint64_t routing_drops() const noexcept { return routing_drops_; }
 
  private:
+  friend class Network;  // compute_routes installs the routing state
+
   NodeId id_;
-  std::unordered_map<NodeId, Link*> routes_;
-  std::unordered_map<std::int32_t, Agent*> ports_;
+  /// Leaf: the next hop toward every node id below leaf_span_ but its own.
+  Link* uplink_ = nullptr;
+  std::size_t leaf_span_ = 0;
+  /// Everyone else: the next hop by destination id.
+  std::vector<Link*> routes_;
+  /// Bound agents, scanned in bind order (a host usually has one).
+  std::vector<std::pair<std::int32_t, Agent*>> ports_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t routing_drops_ = 0;

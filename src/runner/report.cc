@@ -136,7 +136,9 @@ obs::MetricRegistry registry_from_json(const JsonValue& v) {
       }
       if (counts.empty()) continue;  // malformed; shape is unrecoverable
       const double lo = num_or(h, "lo", 0), hi = num_or(h, "hi", 1);
-      reg.histogram(name, lo, hi, counts.size()) =
+      // Sized before the move: the right operand of `=` is evaluated first.
+      const std::size_t bins = counts.size();
+      reg.histogram(name, lo, hi, bins) =
           stats::Histogram::restore(lo, hi, std::move(counts));
     }
   return reg;
