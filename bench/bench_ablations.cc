@@ -10,7 +10,6 @@
 // batch for the experiment runner (--jobs N runs cells concurrently); the
 // section tables print from the collected results in the original order.
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -130,11 +129,9 @@ int main(int argc, char** argv) {
     add_cell(adaptive ? "adaptive" : "fixed 0.05", cfg);
   }
 
-  const std::optional<runner::RunReport> report =
-      opt.run(jobs, "ablations");
-  if (!report) return 0;
+  const runner::RunReport report = opt.run(jobs, "ablations");
 
-  const std::vector<const runner::JobResult*> by_cell = report->by_cell();
+  const std::vector<const runner::JobResult*> by_cell = report.by_cell();
   for (const Section& sec : sections) {
     std::printf("-- %s --\n", sec.title.c_str());
     exp::Table t({sec.label_header, "avg queue (pkts)", "drop rate", "util (%)",

@@ -10,7 +10,6 @@
 // Cell keys are "ext_aqm/cc=<cc>/qdisc=<qdisc>" and each cell's seed is
 // derived from the key, so the grid is bit-identical for any --jobs value.
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,14 +65,12 @@ int main(int argc, char** argv) {
         opt.trace_dir));
   }
 
-  const std::optional<runner::RunReport> report =
-      opt.run(jobs, "ext_aqm_generality");
-  if (!report) return 0;
+  const runner::RunReport report = opt.run(jobs, "ext_aqm_generality");
 
   exp::Table t({"scheme", "where", "avg queue (pkts)", "drop rate",
                 "ECN marks", "util (%)", "jain", "early resp."});
   // Under --shard only this shard's cells ran; absent cells print as "-".
-  const std::vector<const runner::JobResult*> by_cell = report->by_cell();
+  const std::vector<const runner::JobResult*> by_cell = report.by_cell();
   int rc = 0;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const exp::SchemeSpec& s = cells[i];

@@ -11,7 +11,6 @@
 // gauges in its registry; the per-hop tables print from those, so cells
 // recovered by --resume print the same tables as executed ones.
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,12 +93,10 @@ int main(int argc, char** argv) {
     jobs.push_back(std::move(job));
   }
 
-  const std::optional<runner::RunReport> report =
-      opt.run(jobs, "fig11_multibottleneck");
-  if (!report) return 0;
+  const runner::RunReport report = opt.run(jobs, "fig11_multibottleneck");
 
   // Under --shard only this shard's schemes ran; absent ones print as "-".
-  const std::vector<const runner::JobResult*> by_cell = report->by_cell();
+  const std::vector<const runner::JobResult*> by_cell = report.by_cell();
   for (std::size_t j = 0; j < schemes.size(); ++j) {
     std::printf("scheme: %s\n",
                 schemes[j].display.c_str());

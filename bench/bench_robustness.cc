@@ -11,7 +11,6 @@
 // Every (impairment, severity, scheme) cell is one runner::Job; the grid is
 // bit-identical for any --jobs value (each cell's impairment trace is fixed
 // by its derived seed), which CI checks with --smoke --jobs 1 vs 4.
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,9 +121,7 @@ int main(int argc, char** argv) {
   };
   spec.window = [&](double) { return std::pair{warmup, measure}; };
 
-  const std::optional<runner::RunReport> report =
-      bench::run_dumbbell_sweep(spec, opt);
-  if (!report) return 0;
+  const runner::RunReport report = bench::run_dumbbell_sweep(spec, opt);
 
   // Drop-cause split per cell: shows injected (impairment) losses separated
   // from congestion/overflow drops the AQM itself took.
@@ -134,7 +131,7 @@ int main(int argc, char** argv) {
     for (auto s : spec.schemes) headers.emplace_back(s.display);
     exp::Table t(headers);
     const std::size_t ns = spec.schemes.size();
-    const std::vector<const runner::JobResult*> by_cell = report->by_cell();
+    const std::vector<const runner::JobResult*> by_cell = report.by_cell();
     for (std::size_t i = 0; i < spec.xs.size(); ++i) {
       std::vector<std::string> row{spec.x_labels[i]};
       for (std::size_t j = 0; j < ns; ++j) {
@@ -155,5 +152,5 @@ int main(int argc, char** argv) {
   }
 
   opt.export_report(report);
-  return report->status == "ok" ? 0 : 1;
+  return report.status == "ok" ? 0 : 1;
 }

@@ -9,15 +9,15 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
+#include <exception>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "dist/worker.h"
 #include "exp/option_set.h"
 #include "exp/scheme.h"
 #include "runner/report.h"
+#include "runner/run_flags.h"
 #include "runner/runner.h"
 
 namespace pert::bench {
@@ -28,7 +28,7 @@ enum Reads : unsigned {
   kSmoke = 1u << 1,       ///< --smoke
   kSchemes = 1u << 2,     ///< --schemes and --list-schemes
   kSimThreads = 1u << 3,  ///< --sim-threads
-  kRunner = 1u << 4,      ///< dist::add_run_flags' flags and --trace-dir
+  kRunner = 1u << 4,      ///< runner::add_run_flags' flags and --trace-dir
 };
 
 struct Opts {
@@ -40,7 +40,7 @@ struct Opts {
   /// are byte-identical for every value (tools/check_pdes.sh pins this).
   unsigned sim_threads = 0;
   std::string trace_dir;  ///< when non-empty, per-cell event traces go here
-  dist::RunFlags run_flags;
+  runner::RunFlags run_flags;
   /// --schemes; see schemes_or(). Empty = bench default.
   std::vector<exp::SchemeSpec> schemes;
   unsigned reads = 0;  ///< the Reads mask the flags were parsed with
@@ -68,7 +68,7 @@ struct Opts {
                "parallel engine workers per simulation (0 = classic "
                "single-scheduler path; results identical for any value)");
     if (reads & kRunner) {
-      dist::add_run_flags(opts, o.run_flags);
+      runner::add_run_flags(opts, o.run_flags);
       opts.opt("--trace-dir", &o.trace_dir,
                "write one Chrome trace_event JSON per cell into DIR", "DIR");
     }
@@ -96,25 +96,39 @@ struct Opts {
     return schemes.empty() ? exp::parse_scheme_list(fallback) : schemes;
   }
 
-  /// Runs the bench's batch `name` as the flags ask: on the experiment
-  /// runner with --jobs / --journal / --resume / --shard, or served to the
-  /// --worker coordinator, which then owns the report (nullopt).
-  std::optional<runner::RunReport> run(const std::vector<runner::Job>& batch,
-                                       const std::string& name) const {
+  /// Runs the bench's batch `name` on the experiment runner as --jobs /
+  /// --journal / --resume / --shard ask. A batch-level failure (an
+  /// unwritable journal, a --resume against another sweep's journal) exits
+  /// 1 with an error line; failed cells are reported, not thrown.
+  runner::RunReport run(const std::vector<runner::Job>& batch,
+                        const std::string& name) const {
     runner::RunnerOptions r = run_flags.runner;
     r.name = name;
-    return dist::run_or_serve(batch, r, run_flags.worker);
+    try {
+      return runner::ExperimentRunner(r).run(batch);
+    } catch (const std::exception& e) {
+      fail(e);
+    }
   }
 
-  /// Writes the report when --json was given. Call once per bench. A
-  /// nullopt report means the grid was served to a coordinator (--worker),
-  /// which owns the report; nothing is written then.
-  void export_report(const std::optional<runner::RunReport>& report) const {
-    if (run_flags.json.empty() || !report) return;
-    runner::write_report(*report, run_flags.json);
+  /// Writes the report when --json was given. Call once per bench. Exits 1
+  /// with an error line when the file cannot be written.
+  void export_report(const runner::RunReport& report) const {
+    if (run_flags.json.empty()) return;
+    try {
+      runner::write_report(report, run_flags.json);
+    } catch (const std::exception& e) {
+      fail(e);
+    }
     std::fprintf(stderr, "  report written to %s (%zu jobs, %.2fx speedup)\n",
-                 run_flags.json.c_str(), report->results.size(),
-                 report->speedup());
+                 run_flags.json.c_str(), report.results.size(),
+                 report.speedup());
+  }
+
+ private:
+  [[noreturn]] static void fail(const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(1);
   }
 };
 

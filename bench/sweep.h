@@ -16,7 +16,6 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -103,12 +102,11 @@ inline runner::Job dumbbell_job(std::string key,
 
 /// Executes the sweep grid as `opt` asks (Opts::run) and prints the metric
 /// tables. Returns the full report (per-cell metrics, seeds, event counts,
-/// wall times) for JSON export, or nullopt when --worker handed the grid to
-/// a coordinator, which owns the report. With --trace-dir each cell writes
-/// its event trace (see dumbbell_job); under --shard only the shard's cells
-/// run and absent cells print as "-".
-inline std::optional<runner::RunReport> run_dumbbell_sweep(
-    const SweepSpec& spec, const Opts& opt) {
+/// wall times) for JSON export. With --trace-dir each cell writes its event
+/// trace (see dumbbell_job); under --shard only the shard's cells run and
+/// absent cells print as "-".
+inline runner::RunReport run_dumbbell_sweep(const SweepSpec& spec,
+                                            const Opts& opt) {
   const std::size_t nx = spec.xs.size(), ns = spec.schemes.size();
 
   // Materialize every cell's config and window up front, on this thread:
@@ -127,15 +125,14 @@ inline std::optional<runner::RunReport> run_dumbbell_sweep(
     }
   }
 
-  std::optional<runner::RunReport> report = opt.run(jobs, spec.name);
-  if (!report) return report;
+  runner::RunReport report = opt.run(jobs, spec.name);
 
-  for (const runner::JobResult& r : report->results)
+  for (const runner::JobResult& r : report.results)
     if (!r.ok)
       std::fprintf(stderr, "  WARNING: job %s failed: %s\n", r.key.c_str(),
                    r.error.c_str());
 
-  const std::vector<const runner::JobResult*> by_cell = report->by_cell();
+  const std::vector<const runner::JobResult*> by_cell = report.by_cell();
   struct MetricDef {
     const char* name;
     const char* fmt;

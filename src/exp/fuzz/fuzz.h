@@ -20,10 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "dist/shard.h"
 #include "exp/fuzz/generator.h"
 #include "exp/fuzz/oracle.h"
 #include "exp/fuzz/scenario.h"
+#include "runner/shard.h"
 
 namespace pert::exp::fuzz {
 
@@ -62,10 +62,10 @@ struct FuzzOptions {
   /// broken sender (e.g. early_beta ~ 1) and proves the oracle finds it.
   std::function<void(Scenario&)> mutate;
   bool verbose = false;            ///< one stderr line per iteration
-  /// Deterministic slice for distributed fuzzing: only iterations i with
+  /// Deterministic slice for sharded fuzzing: only iterations i with
   /// i % count == index run. Seeds derive from the iteration index, so the
   /// union of all shards reproduces the unsharded campaign exactly.
-  dist::ShardSpec shard;
+  runner::ShardSpec shard;
 };
 
 struct FuzzSummary {

@@ -16,10 +16,10 @@
 #include <string_view>
 #include <vector>
 
-#include "dist/shard.h"
 #include "exp/dumbbell.h"
 #include "obs/metrics.h"
 #include "runner/cancel.h"
+#include "runner/shard.h"
 
 namespace pert::runner {
 
@@ -76,7 +76,7 @@ struct JobResult {
   std::uint64_t seed = 0;
   /// Global cell index in the full (unsharded) grid: the job's submission
   /// index. Stable across sharding, so per-shard results can be merged back
-  /// into full-grid submission order (tools/sweep_merge, dist::Coordinator).
+  /// into full-grid submission order (runner/merge.h, tools/sweep_merge).
   std::uint64_t cell = 0;
   std::map<std::string, std::string> tags;
   exp::WindowMetrics metrics;
@@ -96,7 +96,7 @@ struct RunReport {
   /// Which slice of the grid this report covers ({0,1} = the whole grid).
   /// Serialized as a "shard" block only when active, so unsharded reports
   /// keep their pre-shard byte format.
-  dist::ShardSpec shard;
+  ShardSpec shard;
   std::uint64_t grid = 0;        ///< base grid hash (shard-independent)
   std::uint64_t grid_cells = 0;  ///< cells in the full (unsharded) grid
   double wall_ms = 0;      ///< wall-clock time of the whole batch

@@ -96,8 +96,11 @@ bool header_from_json(const JsonValue& v, JournalHeader& out) {
   const JsonValue* sc = v.find("shard_count");
   const JsonValue* sg = v.find("shard_grid");
   if (si && sc && sg && si->is_uint() && sc->is_uint() && sg->is_uint()) {
-    out.shard.index = static_cast<std::uint32_t>(si->as_uint());
-    out.shard.count = static_cast<std::uint32_t>(sc->as_uint());
+    try {
+      out.shard = ShardSpec(si->as_uint(), sc->as_uint());
+    } catch (const std::invalid_argument&) {
+      return false;  // an impossible shard spec is corruption, not a header
+    }
     out.base = sg->as_uint();
   } else if (si || sc || sg) {
     return false;  // a partial shard triple is corruption, not a header
@@ -158,7 +161,7 @@ std::string journal_frame(char type, const std::string& payload) {
 
 JournalHeader journal_header(std::string_view name,
                              const std::vector<Job>& jobs,
-                             dist::ShardSpec shard) {
+                             ShardSpec shard) {
   JournalHeader h;
   h.name = name;
   h.jobs = jobs.size();

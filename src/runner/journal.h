@@ -33,8 +33,8 @@
 #include <string_view>
 #include <vector>
 
-#include "dist/shard.h"
 #include "runner/job.h"
+#include "runner/shard.h"
 
 namespace pert::runner {
 
@@ -50,7 +50,7 @@ struct JournalHeader {
   std::uint64_t base = 0;   ///< shard-independent grid hash (== grid when
                             ///< unsharded); lets tools cross-check that N
                             ///< shard journals describe one grid
-  dist::ShardSpec shard;    ///< which slice this journal records
+  ShardSpec shard;          ///< which slice this journal records
 
   friend bool operator==(const JournalHeader&, const JournalHeader&) = default;
 };
@@ -61,7 +61,7 @@ struct JournalHeader {
 /// only selects which cells this journal may record.
 JournalHeader journal_header(std::string_view name,
                              const std::vector<Job>& jobs,
-                             dist::ShardSpec shard = {});
+                             ShardSpec shard = {});
 
 struct JournalRecovery {
   /// False when the file has no decodable header (missing, empty, or the

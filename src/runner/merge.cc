@@ -1,19 +1,17 @@
-#include "dist/merge.h"
+#include "runner/merge.h"
 
 #include <fstream>
 #include <stdexcept>
 #include <utility>
 
-#include "dist/shard.h"
 #include "runner/journal.h"
 #include "runner/report.h"
+#include "runner/runner.h"
+#include "runner/shard.h"
 
-namespace pert::dist {
+namespace pert::runner {
 
 namespace {
-
-using runner::JobResult;
-using runner::RunReport;
 
 /// One shard input, normalized from either carrier format.
 struct Input {
@@ -44,7 +42,7 @@ Input load_input(const std::string& path) {
     // <path>.quarantine and the journal compacted, exactly as --resume
     // would. Surviving records join the merge; missing cells surface in
     // the coverage check.
-    runner::JournalRecovery rec = runner::recover_journal(path);
+    JournalRecovery rec = recover_journal(path);
     if (!rec.usable)
       throw std::runtime_error("journal " + path +
                                " has no decodable header; cannot establish "
@@ -58,20 +56,13 @@ Input load_input(const std::string& path) {
     in.quarantined = rec.quarantined;
     return in;
   }
-  RunReport rep = runner::read_report(path);
+  RunReport rep = read_report(path);
   in.shard = rep.shard;
   in.name = rep.name;
   in.total = rep.shard.active() ? rep.grid_cells : rep.results.size();
   in.base = rep.grid;
   in.records = std::move(rep.results);
   return in;
-}
-
-std::string batch_status(const std::vector<JobResult>& results) {
-  std::size_t ok = 0;
-  for (const JobResult& r : results) ok += r.ok ? 1 : 0;
-  if (ok == results.size()) return "ok";
-  return ok == 0 ? "failed" : "partial";
 }
 
 }  // namespace
@@ -189,4 +180,4 @@ MergeOutcome merge_shards(const std::vector<std::string>& paths,
   return out;
 }
 
-}  // namespace pert::dist
+}  // namespace pert::runner

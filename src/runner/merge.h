@@ -34,7 +34,7 @@
 
 #include "runner/job.h"
 
-namespace pert::dist {
+namespace pert::runner {
 
 struct MergeOptions {
   /// Accept missing cells and emit a status:"partial" report instead of
@@ -43,7 +43,7 @@ struct MergeOptions {
 };
 
 struct MergeOutcome {
-  runner::RunReport report;
+  RunReport report;
   std::uint64_t total_cells = 0;  ///< full grid size
   std::uint64_t missing = 0;      ///< cells no input covered
   std::uint64_t superseded = 0;   ///< records replaced by a later input
@@ -57,4 +57,4 @@ struct MergeOutcome {
 MergeOutcome merge_shards(const std::vector<std::string>& paths,
                           const MergeOptions& opts = {});
 
-}  // namespace pert::dist
+}  // namespace pert::runner

@@ -235,8 +235,8 @@ RunReport report_from_json(const JsonValue& v) {
   r.wall_ms = num_or(v, "wall_ms", 0);
   r.cpu_ms = num_or(v, "cpu_ms", 0);
   if (const JsonValue* shard = v.find("shard")) {
-    r.shard.index = static_cast<std::uint32_t>(uint_or(*shard, "index", 0));
-    r.shard.count = static_cast<std::uint32_t>(uint_or(*shard, "count", 1));
+    r.shard =
+        ShardSpec(uint_or(*shard, "index", 0), uint_or(*shard, "count", 1));
     r.grid_cells = uint_or(*shard, "total", 0);
     r.grid = uint_or(*shard, "grid", 0);
   }

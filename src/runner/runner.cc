@@ -175,14 +175,14 @@ JobResult execute(const Job& job, unsigned max_retries,
   return r;
 }
 
+}  // namespace
+
 std::string batch_status(const std::vector<JobResult>& results) {
   std::size_t ok = 0;
   for (const JobResult& r : results) ok += r.ok ? 1 : 0;
   if (ok == results.size()) return "ok";
   return ok == 0 ? "failed" : "partial";
 }
-
-}  // namespace
 
 std::string_view to_string(JobStatus s) {
   switch (s) {
@@ -207,21 +207,13 @@ unsigned resolve_threads(unsigned requested) {
   return hw != 0 ? hw : 1;
 }
 
-JobResult run_job(const Job& job, unsigned max_retries, double timeout_ms) {
-  std::unique_ptr<TimeoutMonitor> monitor;
-  if (timeout_ms > 0) monitor = std::make_unique<TimeoutMonitor>(timeout_ms);
-  return execute(job, max_retries, monitor.get());
-}
-
 ExperimentRunner::ExperimentRunner(RunnerOptions opts)
     : opts_(std::move(opts)) {
   opts_.threads = resolve_threads(opts_.threads);
 }
 
 RunReport ExperimentRunner::run(const std::vector<Job>& jobs) {
-  const dist::ShardSpec shard = opts_.shard;
-  if (shard.count == 0 || shard.index >= shard.count)
-    throw std::invalid_argument("invalid shard spec " + shard.to_string());
+  const ShardSpec shard(opts_.shard.index, opts_.shard.count);
 
   // The shard's slice of the grid: global cell indices this run executes,
   // in submission order. Unsharded, that is every cell. The header (and so

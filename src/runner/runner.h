@@ -9,10 +9,11 @@
 // degenerates to this for a known-up-front job vector).
 #pragma once
 
+#include <string>
 #include <vector>
 
-#include "dist/shard.h"
 #include "runner/job.h"
+#include "runner/shard.h"
 
 namespace pert::runner {
 
@@ -48,7 +49,7 @@ struct RunnerOptions {
   /// record bytes, report cell order — is unchanged, so the union of all n
   /// shards is byte-identical to the unsharded run. Progress totals, the
   /// report's job count, and the journal identity all describe the slice.
-  dist::ShardSpec shard;
+  ShardSpec shard;
 };
 
 class ExperimentRunner {
@@ -72,14 +73,8 @@ class ExperimentRunner {
 /// Resolves a requested thread count: 0 -> hardware_concurrency (min 1).
 unsigned resolve_threads(unsigned requested);
 
-/// Runs one job body on the calling thread with the runner's full failure
-/// classification: transient-error retries (same seed, fresh closure copy),
-/// the failed/timeout/invariant status taxonomy, and watchdog diagnostics
-/// capture. `timeout_ms > 0` arms a wall-clock monitor for just this job.
-/// This is the building block the distributed worker loop (src/dist/)
-/// shares with the in-process thread pool; JobResult::cell is left 0 — the
-/// caller knows the global index, the job body does not.
-JobResult run_job(const Job& job, unsigned max_retries = 0,
-                  double timeout_ms = 0);
+/// RunReport::status for `results`: "ok" when every result is ok, "failed"
+/// when none is, "partial" otherwise.
+std::string batch_status(const std::vector<JobResult>& results);
 
 }  // namespace pert::runner

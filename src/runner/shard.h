@@ -14,8 +14,10 @@
 // same; striding spreads the expensive end of a sweep evenly across shards.
 //
 // The spelling everywhere (CLI, journal headers, report JSON) is `k/n` with
-// 0 <= k < n; "0/1" is the unsharded identity. Header-only: this is layer 0
-// of src/dist/ and both pert_runner and pert_dist include it.
+// 0 <= k < n; "0/1" is the unsharded identity. Every reader of a spec —
+// parse_shard, the report and journal decoders, ExperimentRunner::run — goes
+// through the checked constructor, so a forged count of 0 or an index past
+// the count is an error where it is read, never a division by zero later.
 #pragma once
 
 #include <cstddef>
@@ -24,11 +26,24 @@
 #include <string>
 #include <string_view>
 
-namespace pert::dist {
+namespace pert::runner {
 
 struct ShardSpec {
   std::uint32_t index = 0;  ///< this shard, 0-based
   std::uint32_t count = 1;  ///< total shards; 1 = unsharded
+
+  ShardSpec() = default;
+
+  /// Shard `k` of `n`. Throws std::invalid_argument unless
+  /// 1 <= n < 2^32 and k < n.
+  ShardSpec(std::uint64_t k, std::uint64_t n) {
+    if (n == 0 || n > 0xffffffffULL || k >= n)
+      throw std::invalid_argument(
+          "bad shard spec " + std::to_string(k) + "/" + std::to_string(n) +
+          ": expected k/n with 0 <= k < n < 2^32");
+    index = static_cast<std::uint32_t>(k);
+    count = static_cast<std::uint32_t>(n);
+  }
 
   /// True when this spec selects a strict subset of the grid.
   constexpr bool active() const noexcept { return count > 1; }
@@ -62,7 +77,7 @@ inline ShardSpec parse_shard(std::string_view s) {
   };
   const std::size_t slash = s.find('/');
   if (slash == std::string_view::npos) fail("missing '/'");
-  const auto parse_u32 = [&](std::string_view field) -> std::uint32_t {
+  const auto parse_u32 = [&](std::string_view field) -> std::uint64_t {
     if (field.empty()) fail("empty field");
     std::uint64_t v = 0;
     for (char c : field) {
@@ -70,14 +85,10 @@ inline ShardSpec parse_shard(std::string_view s) {
       v = v * 10 + static_cast<std::uint64_t>(c - '0');
       if (v > 0xffffffffULL) fail("field overflows 32 bits");
     }
-    return static_cast<std::uint32_t>(v);
+    return v;
   };
-  ShardSpec spec;
-  spec.index = parse_u32(s.substr(0, slash));
-  spec.count = parse_u32(s.substr(slash + 1));
-  if (spec.count == 0) fail("shard count must be >= 1");
-  if (spec.index >= spec.count) fail("shard index must be < count");
-  return spec;
+  return ShardSpec(parse_u32(s.substr(0, slash)),
+                   parse_u32(s.substr(slash + 1)));
 }
 
-}  // namespace pert::dist
+}  // namespace pert::runner

@@ -1,6 +1,7 @@
 // The command-line surface of every bench and tool binary, driven as a user
 // would: --help answers with exit 0 and lists exactly the flags the binary
-// reads, and every bench flag a bench does not read is a usage error.
+// reads, every bench flag a bench does not read is a usage error, and a
+// batch the runner cannot start or export is an error line, never an abort.
 //
 // A flag under test is followed by --help, so a binary that wrongly accepts
 // it prints its usage and exits 0 instead of running its grid.
@@ -9,6 +10,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <vector>
@@ -43,11 +45,10 @@ std::string tool(const std::string& name) {
 const std::vector<std::string> kBenchFlags = {
     "--full",         "--smoke",    "--schemes pert", "--list-schemes",
     "--sim-threads 2", "--jobs 2",  "--json x",       "--journal x",
-    "--resume",       "--shard 0/2", "--worker h:1",  "--trace-dir x"};
+    "--resume",       "--shard 0/2", "--trace-dir x"};
 
-const std::set<std::string> kRunner = {"--jobs",  "--json",   "--journal",
-                                       "--resume", "--shard", "--worker",
-                                       "--trace-dir"};
+const std::set<std::string> kRunner = {"--jobs",   "--json",  "--journal",
+                                       "--resume", "--shard", "--trace-dir"};
 
 std::set<std::string> with(std::set<std::string> base,
                            const std::set<std::string>& more) {
@@ -87,6 +88,14 @@ const std::vector<Bench>& benches() {
   return all;
 }
 
+/// pert_sim and every bench that takes the run-control flags.
+std::vector<std::string> runner_binaries() {
+  std::vector<std::string> out{tool("pert_sim")};
+  for (const Bench& b : benches())
+    if (b.reads.count("--jobs") == 1) out.push_back(bench(b.name));
+  return out;
+}
+
 std::string name_of(const std::string& flag) {
   return flag.substr(0, flag.find(' '));
 }
@@ -120,8 +129,7 @@ TEST(CliSurface, EveryBenchRejectsTheFlagsItDoesNotRead) {
 TEST(CliSurface, EveryToolAnswersHelp) {
   for (const std::string& path :
        {tool("pert_sim"), tool("fuzz_scenarios"), tool("sweep_merge"),
-        tool("sweep_coordinator"), tool("chaos_proxy"), tool("perf_baseline"),
-        bench("bench_micro")}) {
+        tool("perf_baseline"), bench("bench_micro")}) {
     const Outcome r = run(path + " --help");
     EXPECT_EQ(r.status, 0) << path << ":\n" << r.output;
     EXPECT_FALSE(r.output.empty()) << path;
@@ -134,12 +142,10 @@ TEST(CliSurface, OutOfRangeAndRetiredSpellingsAreUsageErrors) {
     int status;
   } cases[] = {
       // Integers are range-checked against the type they are stored in.
-      {tool("sweep_coordinator") + " --port 70000", 1},
-      {tool("chaos_proxy") + " --upstream h:1 --port 65537", 1},
       {tool("fuzz_scenarios") + " --seed -1", 2},
       {tool("pert_sim") + " --jobs -1", 2},
-      // Spellings pert_sim no longer takes: --list-schemes, --worker and
-      // repeatable impair= replace them.
+      // Spellings pert_sim no longer takes: --list-schemes and repeatable
+      // impair= replace two; worker= is gone with the sweep service.
       {tool("pert_sim") + " schemes", 2},
       {tool("pert_sim") + " worker=h:1", 2},
       {tool("pert_sim") + " --impair loss:p=0.01", 2},
@@ -149,6 +155,41 @@ TEST(CliSurface, OutOfRangeAndRetiredSpellingsAreUsageErrors) {
     EXPECT_EQ(r.status, c.status) << c.command << ":\n" << r.output;
     EXPECT_NE(r.output.find("error: "), std::string::npos) << c.command;
   }
+}
+
+TEST(CliSurface, NoRunnerBinaryTakesTheRetiredWorkerFlag) {
+  for (const std::string& path : runner_binaries()) {
+    const Outcome r = run(path + " --worker h:1 --help");
+    EXPECT_EQ(r.status, 2) << path;
+    EXPECT_NE(r.output.find("unknown flag: --worker"), std::string::npos)
+        << path << ":\n" << r.output;
+  }
+}
+
+TEST(CliSurface, BatchFailuresExitOneWithAnErrorLine) {
+  // Another sweep's journal: pert_sim's shard 1/2 of its one-scheme batch
+  // writes the journal header and runs no cell.
+  const std::string other = ::testing::TempDir() + "cli_other_sweep.journal";
+  std::remove(other.c_str());
+  ASSERT_EQ(run(tool("pert_sim") + " --shard 1/2 --journal " + other).status,
+            0);
+  // The last of 2^32 - 1 shards owns no cell of any grid here, so the
+  // --json case reaches the export without running a simulation.
+  const std::string no_cells = " --shard 4294967294/4294967295";
+  for (const std::string& path : runner_binaries()) {
+    for (const std::string& args :
+         {std::string(" --journal /nonexistent-dir/j"),
+          no_cells + " --json /nonexistent-dir/x.json",
+          " --journal " + other + " --resume"}) {
+      const Outcome r = run(path + args);
+      EXPECT_EQ(r.status, 1) << path << args << ":\n" << r.output;
+      EXPECT_NE(r.output.find("error: "), std::string::npos)
+          << path << args << ":\n" << r.output;
+      EXPECT_EQ(r.output.find("terminate"), std::string::npos)
+          << path << args << ":\n" << r.output;
+    }
+  }
+  std::remove(other.c_str());
 }
 
 TEST(FuzzScenariosCli, ExplicitItersWinOverBudgetMode) {

@@ -2,7 +2,7 @@
 // overlapping cells, missing shards, mismatched grids, torn journals —
 // resolves to a documented error or a status:"partial" report, never a
 // silently bad merge.
-#include "dist/merge.h"
+#include "runner/merge.h"
 
 #include <gtest/gtest.h>
 
@@ -12,48 +12,48 @@
 #include <string>
 #include <vector>
 
-#include "dist/shard.h"
-#include "dist_test_util.h"
 #include "runner/journal.h"
 #include "runner/report.h"
 #include "runner/runner.h"
+#include "runner/shard.h"
+#include "synth_jobs.h"
 
-namespace pert::dist {
+namespace pert::runner {
 namespace {
 
 using testutil::synth_jobs;
 
 /// Runs shard k/n of the synthetic grid; returns the written report path.
-std::string shard_report(const std::vector<runner::Job>& jobs,
+std::string shard_report(const std::vector<Job>& jobs,
                          std::uint32_t k, std::uint32_t n,
                          const std::string& tag) {
-  runner::RunnerOptions o;
+  RunnerOptions o;
   o.threads = 1;
   o.progress = false;
   o.name = "merge_test";
   o.shard = ShardSpec{k, n};
-  const runner::RunReport rep = runner::ExperimentRunner(o).run(jobs);
+  const RunReport rep = ExperimentRunner(o).run(jobs);
   const std::string path =
       ::testing::TempDir() + "merge_" + tag + ".json";
-  runner::write_report(rep, path);
+  write_report(rep, path);
   return path;
 }
 
 /// Same slice, journal carrier.
-std::string shard_journal(const std::vector<runner::Job>& jobs,
+std::string shard_journal(const std::vector<Job>& jobs,
                           std::uint32_t k, std::uint32_t n,
                           const std::string& tag) {
   const std::string path =
       ::testing::TempDir() + "merge_" + tag + ".journal";
   std::remove(path.c_str());
   std::remove((path + ".quarantine").c_str());
-  runner::RunnerOptions o;
+  RunnerOptions o;
   o.threads = 1;
   o.progress = false;
   o.name = "merge_test";
   o.shard = ShardSpec{k, n};
   o.journal_path = path;
-  runner::ExperimentRunner(o).run(jobs);
+  ExperimentRunner(o).run(jobs);
   return path;
 }
 
@@ -77,10 +77,10 @@ TEST(Merge, OverlappingCellsAreAHardError) {
 
   // Relabel shard 0's report as shard 1: its cells now violate the claimed
   // partition, which is exactly what a mislabeled upload looks like.
-  runner::RunReport rep = runner::read_report(r0);
+  RunReport rep = read_report(r0);
   rep.shard.index = 1;
   const std::string forged = ::testing::TempDir() + "merge_forged.json";
-  runner::write_report(rep, forged);
+  write_report(rep, forged);
 
   try {
     merge_shards({forged, r1});
@@ -189,6 +189,78 @@ TEST(Merge, DuplicateInputsResolveLastWriterWins) {
   std::remove(r1.c_str());
 }
 
+/// Copies the report at `path` with its "shard" block's `field` set to
+/// `value`, as a hand-edited or corrupted upload would carry it.
+std::string forge_report_shard(const std::string& path, const char* field,
+                               std::uint64_t value, const std::string& tag) {
+  JsonValue doc = to_json(read_report(path));
+  for (auto& [key, block] : doc.as_object())
+    if (key == "shard")
+      for (auto& [name, v] : block.as_object())
+        if (name == field) v = JsonValue(value);
+  const std::string forged = ::testing::TempDir() + "merge_" + tag + ".json";
+  atomic_write_file(forged, doc.dump(2) + "\n");
+  return forged;
+}
+
+TEST(Merge, RejectsImpossibleShardSpecs) {
+  const auto jobs = synth_jobs(4);
+  const std::string r1 = shard_report(jobs, 1, 2, "spec1");
+  // Even a partial merge, which tolerates missing shards, must refuse an
+  // input whose shard spec cannot exist.
+  MergeOptions allow;
+  allow.allow_partial = true;
+
+  // A zero count, a count past 32 bits and an index past the count are
+  // each rejected where the report is read, naming the spec.
+  const struct {
+    const char* field;
+    std::uint64_t value;
+  } forgeries[] = {{"count", 0}, {"count", 4294967298ULL}, {"index", 7}};
+  for (const auto& f : forgeries) {
+    const std::string forged = forge_report_shard(
+        r1, f.field, f.value, std::string("spec_") + f.field);
+    try {
+      merge_shards({forged}, allow);
+      FAIL() << f.field << "=" << f.value << " must not merge";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("bad shard spec"),
+                std::string::npos)
+          << f.field << "=" << f.value << ": " << e.what();
+    }
+    std::remove(forged.c_str());
+  }
+
+  // A journal header with a zero shard count, correctly checksummed, is an
+  // undecodable header: the journal cannot say which shard it records.
+  const std::string j1 = shard_journal(jobs, 1, 2, "spec_j1");
+  std::string bytes;
+  {
+    std::ifstream f(j1, std::ios::binary);
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    bytes = ss.str();
+  }
+  const std::size_t eol = bytes.find('\n');
+  ASSERT_NE(eol, std::string::npos);
+  // "PERTJ1 H <crc32-hex8> <header-json>"
+  JsonValue header = JsonValue::parse(bytes.substr(18, eol - 18));
+  for (auto& [key, v] : header.as_object())
+    if (key == "shard_count") v = JsonValue(std::uint64_t{0});
+  atomic_write_file(j1, journal_frame('H', header.dump()) +
+                            bytes.substr(eol + 1));
+  try {
+    merge_shards({j1}, allow);
+    FAIL() << "a journal claiming zero shards must not merge";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("no decodable header"),
+              std::string::npos)
+        << e.what();
+  }
+  for (const auto& p : {r1, j1, j1 + ".quarantine"})
+    std::remove(p.c_str());
+}
+
 TEST(Merge, RejectsUnreadableAndHeaderlessInputs) {
   EXPECT_THROW(merge_shards({"/nonexistent/path.json"}), std::runtime_error);
   EXPECT_THROW(merge_shards({}), std::runtime_error);
@@ -205,4 +277,4 @@ TEST(Merge, RejectsUnreadableAndHeaderlessInputs) {
 }
 
 }  // namespace
-}  // namespace pert::dist
+}  // namespace pert::runner

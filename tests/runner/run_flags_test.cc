@@ -6,10 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "dist/worker.h"
 #include "exp/option_set.h"
+#include "runner/run_flags.h"
 
-namespace pert::dist {
+namespace pert::runner {
 namespace {
 
 /// Parses `args` with only the run-control flags registered.
@@ -29,7 +29,6 @@ TEST(RunFlags, ParsesEveryFlag) {
   EXPECT_EQ(f.runner.journal_path, "j.log");
   EXPECT_TRUE(f.runner.resume);
   EXPECT_EQ(f.runner.shard, (ShardSpec{1, 3}));
-  EXPECT_TRUE(f.worker.empty());
 }
 
 TEST(RunFlags, ConvertsAtParseTime) {
@@ -43,19 +42,5 @@ TEST(RunFlags, ResumeNeedsAJournal) {
   EXPECT_NO_THROW(parse({"--resume", "--journal", "j.log"}));
 }
 
-TEST(RunFlags, WorkerExcludesShardAndResumeButKeepsTheFallbackJournal) {
-  EXPECT_THROW(parse({"--worker", "h:1", "--shard", "0/2"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse({"--worker", "h:1", "--journal", "j", "--resume"}),
-               std::invalid_argument);
-  // The coordinator owns cell assignment, but a worker that gives up runs
-  // the grid locally, and --journal journals that run.
-  const RunFlags f = parse({"--worker", "h:1", "--journal", "j.log"});
-  EXPECT_EQ(f.worker, "h:1");
-  EXPECT_EQ(f.runner.journal_path, "j.log");
-  // The identity shard selects the whole grid, so it does not conflict.
-  EXPECT_NO_THROW(parse({"--worker", "h:1", "--shard", "0/1"}));
-}
-
 }  // namespace
-}  // namespace pert::dist
+}  // namespace pert::runner

@@ -1,4 +1,4 @@
-// Shared helpers for the distributed-sweep tests: a cheap deterministic
+// Shared helpers for the shard and merge tests: a cheap deterministic
 // synthetic batch (no simulation — results are pure functions of the seed)
 // and the volatile-field strip used for byte-identity comparisons.
 #pragma once
@@ -11,22 +11,21 @@
 #include "runner/job.h"
 #include "runner/seed.h"
 
-namespace pert::dist::testutil {
+namespace pert::runner::testutil {
 
 /// `n` self-contained jobs whose outputs (metrics, events, registry) are
 /// pure functions of the per-cell seed — exactly the property the real
 /// sweep cells have, at zero simulation cost.
-inline std::vector<runner::Job> synth_jobs(std::size_t n,
-                                           std::uint64_t base_seed = 7) {
-  std::vector<runner::Job> jobs;
+inline std::vector<Job> synth_jobs(std::size_t n, std::uint64_t base_seed = 7) {
+  std::vector<Job> jobs;
   jobs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    runner::Job job;
-    job.key = "dist/cell=" + std::to_string(i);
-    job.seed = runner::derive_seed(base_seed, job.key);
+    Job job;
+    job.key = "synth/cell=" + std::to_string(i);
+    job.seed = derive_seed(base_seed, job.key);
     job.tags = {{"x", std::to_string(i)}};
-    job.run = [](const runner::Job& j) {
-      runner::JobOutput out;
+    job.run = [](const Job& j) {
+      JobOutput out;
       out.metrics.avg_queue_pkts =
           static_cast<double>(j.seed % 1000) / 10.0;
       out.metrics.utilization =
@@ -60,4 +59,4 @@ inline std::string strip_volatile(const std::string& json) {
   return out;
 }
 
-}  // namespace pert::dist::testutil
+}  // namespace pert::runner::testutil

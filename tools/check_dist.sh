@@ -1,40 +1,32 @@
 #!/usr/bin/env bash
-# Distributed-equivalence check: the same smoke grid three ways —
+# Shard-merge equivalence check: the same smoke grid two ways —
 #
 #   1. unsharded --jobs 1 (the byte-identity baseline),
 #   2. N independent --shard k/N runs merged offline with sweep_merge,
-#   3. a live sweep_coordinator with two workers, one of which is SIGKILLed
-#      after its first journal record lands (so the check also proves lease
-#      reassignment / work stealing),
 #
-# and requires the merged and coordinator reports byte-identical to the
-# baseline minus the wall-clock-only fields. CI runs this; see docs/runner.md
-# "Distributed sweeps".
+# and requires the merged report byte-identical to the baseline minus the
+# wall-clock-only fields. CI runs this; see docs/runner.md "Sharded sweeps".
 #
 # Usage: tools/check_dist.sh [BENCH] [SHARDS]
 #   BENCH   sweep binary accepting --smoke --jobs --json --journal --shard
-#           --worker (default: ./build/bench/bench_fig08_num_flows)
-#   SHARDS  shard count for the offline path (default: 3)
+#           (default: ./build/bench/bench_fig08_num_flows)
+#   SHARDS  shard count (default: 3)
 set -euo pipefail
 
 BENCH=${1:-./build/bench/bench_fig08_num_flows}
 SHARDS=${2:-3}
 MERGE=${MERGE:-./build/tools/sweep_merge}
-COORD=${COORD:-./build/tools/sweep_coordinator}
 TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"; kill $(jobs -p) 2> /dev/null || true' EXIT
+trap 'rm -rf "$TMP"' EXIT
 
 strip_volatile() { grep -vE '"(wall_ms|cpu_ms|speedup|threads)"' "$1"; }
-records() {
-  if [ -f "$1" ]; then grep -c '^PERTJ1 R ' "$1" || true; else echo 0; fi
-}
 
 # 1. Unsharded serial baseline.
 "$BENCH" --smoke --jobs 1 --json "$TMP/base.json" > /dev/null
 strip_volatile "$TMP/base.json" > "$TMP/base.stable"
 
-# 2. Offline sharding: N independent shard runs (journal carriers, so the
-#    merge also exercises journal recovery) merged into one report.
+# 2. N independent shard runs (journal carriers, so the merge also
+#    exercises journal recovery) merged into one report.
 for k in $(seq 0 $((SHARDS - 1))); do
   "$BENCH" --smoke --shard "$k/$SHARDS" \
            --journal "$TMP/shard$k.journal" > /dev/null
@@ -42,45 +34,5 @@ done
 "$MERGE" --out "$TMP/merged.json" "$TMP"/shard*.journal
 strip_volatile "$TMP/merged.json" > "$TMP/merged.stable"
 diff "$TMP/base.stable" "$TMP/merged.stable"
-echo "check_dist: $SHARDS offline shards merge byte-identical to baseline"
 
-# 3. Live coordinator + two workers; the first worker is SIGKILLed after its
-#    first result lands in the coordinator journal, so its leased cells must
-#    be reassigned for the sweep to complete.
-"$COORD" --journal "$TMP/coord.journal" --json "$TMP/coord.json" \
-         --port 0 --lease-ms 10000 > "$TMP/coord.out" 2> /dev/null &
-COORD_PID=$!
-for _ in $(seq 1 500); do
-  PORT=$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-         "$TMP/coord.out")
-  [ -n "$PORT" ] && break
-  kill -0 "$COORD_PID" 2> /dev/null || {
-    echo "check_dist: coordinator died before binding" >&2
-    exit 1
-  }
-  sleep 0.01
-done
-[ -n "${PORT:-}" ] || { echo "check_dist: no coordinator port" >&2; exit 1; }
-
-"$BENCH" --smoke --worker "127.0.0.1:$PORT" > /dev/null 2>&1 &
-W1_PID=$!
-for _ in $(seq 1 6000); do
-  kill -0 "$W1_PID" 2> /dev/null || break
-  if [ "$(records "$TMP/coord.journal")" -ge 1 ]; then
-    kill -KILL "$W1_PID" 2> /dev/null || true
-    break
-  fi
-  sleep 0.01
-done
-wait "$W1_PID" 2> /dev/null || true
-KILLED_AT=$(records "$TMP/coord.journal")
-echo "check_dist: SIGKILLed worker 1 at $KILLED_AT journal record(s)"
-
-# Worker 2 finishes the grid, including the dead worker's reassigned cells.
-"$BENCH" --smoke --worker "127.0.0.1:$PORT" > /dev/null
-wait "$COORD_PID"
-strip_volatile "$TMP/coord.json" > "$TMP/coord.stable"
-diff "$TMP/base.stable" "$TMP/coord.stable"
-
-echo "check_dist OK: sharded merge and coordinator (with a killed worker)" \
-     "both byte-identical to the unsharded run"
+echo "check_dist OK: $SHARDS shards merge byte-identical to the unsharded run"

@@ -20,10 +20,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "dist/worker.h"
 #include "exp/fuzz/fuzz.h"
 #include "exp/fuzz/metamorphic.h"
 #include "exp/option_set.h"
+#include "runner/run_flags.h"
 #include "sim/errors.h"
 
 namespace {
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
            "stop early after this much wall time (0 = no budget)", "S")
       .opt("--repro-dir", &opts.repro_dir,
            "write repro bundles for violations into DIR", "DIR");
-  pert::dist::add_shard_flag(flags, opts.shard, "iterations");
+  pert::runner::add_shard_flag(flags, opts.shard, "iterations");
   flags.flag("--no-shrink", &no_shrink, "skip shrinking violating scenarios")
       .flag("--metamorphic", &metamorphic,
             "check metamorphic relations on transformed scenario twins")

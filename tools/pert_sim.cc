@@ -26,13 +26,11 @@
 #include <exception>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dist/worker.h"
 #include "exp/cli.h"
 #include "exp/fuzz/fuzz.h"
 #include "exp/option_set.h"
@@ -42,6 +40,7 @@
 #include "predictors/trace_recorder.h"
 #include "runner/journal.h"
 #include "runner/report.h"
+#include "runner/run_flags.h"
 #include "runner/runner.h"
 #include "sim/errors.h"
 
@@ -179,10 +178,9 @@ runner::Job scheme_job(const exp::CliOptions& opt, exp::DumbbellConfig cfg) {
   return job;
 }
 
-/// Runs one job per scheme on the experiment runner (or, under --worker,
-/// serves them to that coordinator; see docs/runner.md "Distributed
-/// sweeps") and prints each scheme's banner, metrics and written files.
-int run(const exp::CliOptions& opt, const dist::RunFlags& flags) {
+/// Runs one job per scheme on the experiment runner and prints each
+/// scheme's banner, metrics and written files.
+int run(const exp::CliOptions& opt, const runner::RunFlags& flags) {
   std::vector<runner::Job> batch;
   for (const exp::SchemeSpec& scheme : opt.schemes) {
     exp::DumbbellConfig cfg = opt.cfg;
@@ -191,12 +189,11 @@ int run(const exp::CliOptions& opt, const dist::RunFlags& flags) {
     batch.push_back(scheme_job(opt, std::move(cfg)));
   }
 
-  const std::optional<runner::RunReport> report =
-      dist::run_or_serve(batch, flags.runner, flags.worker);
-  if (!report) return 0;
+  const runner::RunReport report =
+      runner::ExperimentRunner(flags.runner).run(batch);
 
   int rc = 0;
-  for (const runner::JobResult& r : report->results) {
+  for (const runner::JobResult& r : report.results) {
     if (!r.ok) {
       std::fprintf(stderr, "error: %s failed: %s\n", r.key.c_str(),
                    r.error.c_str());
@@ -212,13 +209,8 @@ int run(const exp::CliOptions& opt, const dist::RunFlags& flags) {
     std::printf("\n");
   }
   if (!flags.json.empty()) {
-    try {
-      runner::write_report(*report, flags.json);
-      std::printf("report written to %s\n", flags.json.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error writing outputs: %s\n", e.what());
-      return 1;
-    }
+    runner::write_report(report, flags.json);
+    std::printf("report written to %s\n", flags.json.c_str());
   }
   return rc;
 }
@@ -229,14 +221,14 @@ int main(int argc, char** argv) {
   using namespace pert;
 
   exp::CliOptions opt;
-  dist::RunFlags flags;
+  runner::RunFlags flags;
   bool list_schemes = false;
   std::string repro;
   exp::cli::OptionSet opts(
       "pert_sim",
       "Runs a dumbbell scenario, one runner job per scheme, and prints the "
       "windowed metrics.");
-  dist::add_run_flags(opts, flags);
+  runner::add_run_flags(opts, flags);
   opts.flag("--list-schemes", &list_schemes,
             "print the paper scheme names, CC modules and queue "
             "disciplines, then exit");
@@ -268,5 +260,10 @@ int main(int argc, char** argv) {
     // the human line plus the machine-greppable component=/param= detail.
     std::fprintf(stderr, "error: %s\n%s", e.what(), e.diagnostics().c_str());
     return 2;
+  } catch (const std::exception& e) {
+    // Batch-level failures: an unwritable --journal or --json, a --resume
+    // against another sweep's journal.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 }

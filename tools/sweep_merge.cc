@@ -6,7 +6,7 @@
 // Each INPUT is either a RunReport JSON (from `--shard k/n --json ...`) or a
 // PERTJ1 journal (from `--shard k/n --journal ...`); the format is sniffed
 // from the file content. Inputs must all belong to the same sweep grid and
-// shard count; see src/dist/merge.h for the validation rules.
+// shard count; see src/runner/merge.h for the validation rules.
 //
 // The merged report goes to --out (atomic replace) or stdout. Exit codes:
 //   0  complete merge (every grid cell covered)
@@ -19,13 +19,13 @@
 #include <string>
 #include <vector>
 
-#include "dist/merge.h"
 #include "exp/option_set.h"
+#include "runner/merge.h"
 #include "runner/report.h"
 
 int main(int argc, char** argv) {
   std::string out_path;
-  pert::dist::MergeOptions opts;
+  pert::runner::MergeOptions opts;
   std::vector<std::string> inputs;
 
   pert::exp::cli::OptionSet flags(
@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
   flags.parse_or_exit(argc, argv, 1);
 
   try {
-    const pert::dist::MergeOutcome m = pert::dist::merge_shards(inputs, opts);
+    const pert::runner::MergeOutcome m =
+        pert::runner::merge_shards(inputs, opts);
     for (const std::string& note : m.notes)
       std::fprintf(stderr, "sweep_merge: note: %s\n", note.c_str());
     if (out_path.empty()) {
