@@ -71,9 +71,9 @@ inline void write_cell_trace(const obs::Tracer& tracer,
 
 /// One Dumbbell grid cell as a runner::Job, the body every Dumbbell bench
 /// runs (these sweeps, ablations, ext_aqm). The cell's seed is derived from
-/// cfg.seed and `key`. The body points the scenario watchdog at the runner's
-/// cancel flag, counts events across all shards, returns the metric registry
-/// and writes the cell's event trace when `trace_dir` is set (cell_trace).
+/// cfg.seed and `key`. The body counts events across all shards, returns the
+/// metric registry and writes the cell's event trace when `trace_dir` is set
+/// (cell_trace).
 inline runner::Job dumbbell_job(std::string key,
                                 std::map<std::string, std::string> tags,
                                 exp::DumbbellConfig cfg, double warmup,
@@ -84,11 +84,7 @@ inline runner::Job dumbbell_job(std::string key,
   job.tags = std::move(tags);
   cfg.seed = job.seed;
   const std::string trace_path = cell_trace(cfg.obs, trace_dir, job.key);
-  job.run = [cfg, warmup, measure,
-             trace_path](const runner::Job& cell) mutable {
-    // Cooperative timeout: the scenario watchdog polls the runner's cancel
-    // flag (no effect on results; the flag consumes no RNG).
-    cfg.watchdog.cancel = cell.cancel.flag();
+  job.run = [cfg, warmup, measure, trace_path](const runner::Job&) {
     exp::Dumbbell d(cfg);
     runner::JobOutput out;
     out.metrics = d.measure_window(warmup, measure);

@@ -75,8 +75,7 @@ struct DumbbellConfig {
   /// pre-impairment builds.
   net::ImpairmentConfig impair;
   /// Simulation watchdog (invariants + stall detector); enabled by default
-  /// in every scenario. `watchdog.cancel` may point at a runner cancellation
-  /// flag for cooperative wall-clock timeouts.
+  /// in every scenario.
   sim::WatchdogOptions watchdog;
   /// Observability: structured tracing, metric registry, and the sampling
   /// cadence. Off by default; un-observed runs schedule no extra events and

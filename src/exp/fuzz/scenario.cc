@@ -1,7 +1,10 @@
 #include "exp/fuzz/scenario.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace pert::exp::fuzz {
 
@@ -13,11 +16,20 @@ double num_or(const runner::JsonValue& obj, std::string_view key,
   return v && v->is_number() ? v->as_double() : fallback;
 }
 
+/// An integer field keeps `fallback` when absent; present, it must be a
+/// whole number that fits std::int32_t.
 std::int32_t int_or(const runner::JsonValue& obj, std::string_view key,
                     std::int32_t fallback) {
   const runner::JsonValue* v = obj.find(key);
-  return v && v->is_number() ? static_cast<std::int32_t>(v->as_double())
-                             : fallback;
+  if (!v) return fallback;
+  if (v->is_number()) {
+    using Limits = std::numeric_limits<std::int32_t>;
+    const double d = v->as_double();
+    if (d == std::trunc(d) && d >= Limits::min() && d <= Limits::max())
+      return static_cast<std::int32_t>(d);
+  }
+  throw std::invalid_argument("scenario field " + std::string(key) +
+                              " is not an integer in int32 range");
 }
 
 }  // namespace

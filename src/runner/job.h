@@ -11,14 +11,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "exp/dumbbell.h"
 #include "obs/metrics.h"
-#include "runner/cancel.h"
 #include "runner/shard.h"
 
 namespace pert::runner {
@@ -32,25 +30,17 @@ struct JobOutput {
   obs::MetricRegistry registry;
 };
 
-/// Thrown by a job body to flag a failure as transient: the runner retries
-/// the job (same seed, fresh attempt) up to RunnerOptions::max_retries times
-/// before reporting it failed.
-class TransientError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// How a job ended. Everything except kOk carries an error message; timeout
-/// and invariant failures also carry a diagnostics snapshot.
+/// How a job ended. Everything except kOk carries an error message; watchdog
+/// and scheduler aborts also carry a diagnostics snapshot.
 enum class JobStatus : std::uint8_t {
   kOk,
-  kFailed,              ///< exception / stall / non-retryable error
-  kTimeout,             ///< wall-clock timeout (cooperative cancel fired)
+  kFailed,              ///< exception, stall, runaway event loop
   kInvariantViolation,  ///< simulation watchdog caught broken state
 };
 
 std::string_view to_string(JobStatus s);
-/// Inverse of to_string; unknown strings map to kFailed.
+/// Inverse of to_string; unknown strings map to kFailed, so a "timeout"
+/// record written by an older build re-runs on resume.
 JobStatus job_status_from_string(std::string_view s);
 
 struct Job {
@@ -65,10 +55,6 @@ struct Job {
   /// The job body. Runs on an arbitrary worker thread; must be
   /// self-contained (build the sim inside, touch nothing shared).
   std::function<JobOutput(const Job&)> run;
-  /// Cancellation flag for the runner's wall-clock timeout. Job bodies that
-  /// want to be timeout-able point their scenario at it:
-  ///   cfg.watchdog.cancel = job.cancel.flag();
-  CancelToken cancel;
 };
 
 struct JobResult {
@@ -82,12 +68,11 @@ struct JobResult {
   exp::WindowMetrics metrics;
   std::uint64_t events = 0;
   obs::MetricRegistry registry;  ///< per-job metric snapshot (may be empty)
-  double wall_ms = 0;  ///< wall-clock time of this job's body (all attempts)
+  double wall_ms = 0;  ///< wall-clock time of this job's body
   bool ok = false;     ///< convenience mirror of status == kOk
   JobStatus status = JobStatus::kFailed;
   std::string error;        ///< exception message when !ok
-  std::string diagnostics;  ///< watchdog snapshot (timeout/invariant/stall)
-  unsigned attempts = 1;    ///< 1 + transient retries consumed
+  std::string diagnostics;  ///< watchdog snapshot (invariant/stall)
 };
 
 struct RunReport {

@@ -77,7 +77,13 @@ JsonValue header_to_json(const JournalHeader& h) {
   return JsonValue(std::move(o));
 }
 
-bool header_from_json(const JsonValue& v, JournalHeader& out) {
+bool header_from_json(std::string_view payload, JournalHeader& out) {
+  JsonValue v;
+  try {
+    v = JsonValue::parse(payload);
+  } catch (const JsonParseError&) {
+    return false;  // unparseable JSON is corruption, not a header
+  }
   const JsonValue* tag = v.find("journal");
   if (!tag || !tag->is_string() || tag->as_string() != "pert-runner-v1")
     return false;
@@ -241,7 +247,7 @@ JournalRecovery recover_journal(const std::string& path) {
     }
     if (type == 'H') {
       JournalHeader h;
-      if (first_line && !saw_header && header_from_json(JsonValue::parse(std::string(payload)), h)) {
+      if (first_line && !saw_header && header_from_json(payload, h)) {
         rec.header = h;
         saw_header = true;
       } else {
@@ -254,7 +260,7 @@ JournalRecovery recover_journal(const std::string& path) {
       JobResult r;
       bool decoded = true;
       try {
-        r = result_from_json(JsonValue::parse(std::string(payload)));
+        r = result_from_json(JsonValue::parse(payload));
       } catch (const std::exception&) {
         decoded = false;
       }

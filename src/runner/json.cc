@@ -167,9 +167,13 @@ struct Parser {
     return JsonValue(d);
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the arrays and objects this value is nested in.
+  JsonValue parse_value(std::size_t depth = 0) {
     skip_ws();
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == JsonValue::kMaxDepth)
+      fail("nesting deeper than " + std::to_string(JsonValue::kMaxDepth) +
+           " levels");
     if (c == '{') {
       ++pos;
       JsonValue::Object obj;
@@ -180,7 +184,7 @@ struct Parser {
         std::string key = parse_string();
         skip_ws();
         expect(':');
-        obj.emplace_back(std::move(key), parse_value());
+        obj.emplace_back(std::move(key), parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') { ++pos; continue; }
         expect('}');
@@ -193,7 +197,7 @@ struct Parser {
       skip_ws();
       if (peek() == ']') { ++pos; return JsonValue(std::move(arr)); }
       for (;;) {
-        arr.push_back(parse_value());
+        arr.push_back(parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') { ++pos; continue; }
         expect(']');

@@ -8,9 +8,11 @@
 // dump() emits compact or indented UTF-8; parse() is a strict recursive-
 // descent parser for the same subset (numbers with no '.', 'e', or '-' that
 // fit in 64 bits come back as the integer arm) and throws
-// std::invalid_argument with an offset on malformed input.
+// std::invalid_argument with an offset on malformed input, including input
+// nested deeper than kMaxDepth.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -81,6 +83,10 @@ class JsonValue {
 
   /// Serializes; indent > 0 pretty-prints with that many spaces per level.
   std::string dump(int indent = 0) const;
+
+  /// Deepest array/object nesting parse() accepts. Reports nest about seven
+  /// levels; the bound keeps a hostile document from exhausting the stack.
+  static constexpr std::size_t kMaxDepth = 256;
 
   /// Parses a complete JSON document (trailing garbage is an error).
   static JsonValue parse(std::string_view text);

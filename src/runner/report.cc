@@ -1,6 +1,7 @@
 #include "runner/report.h"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -155,9 +156,6 @@ JsonValue to_json(const JobResult& r) {
   o.emplace_back("wall_ms", JsonValue(r.wall_ms));
   o.emplace_back("ok", JsonValue(r.ok));
   o.emplace_back("status", JsonValue(std::string(to_string(r.status))));
-  if (r.attempts > 1)
-    o.emplace_back("attempts",
-                   JsonValue(static_cast<std::uint64_t>(r.attempts)));
   if (!r.ok) o.emplace_back("error", JsonValue(r.error));
   if (!r.diagnostics.empty())
     o.emplace_back("diagnostics", JsonValue(r.diagnostics));
@@ -168,23 +166,26 @@ JsonValue to_json(const JobResult& r) {
 
 JobResult result_from_json(const JsonValue& v) {
   JobResult r;
+  bool ok = false;
+  std::optional<JobStatus> status;
   for (const auto& [k, val] : v.as_object()) {
     if (k == "key") r.key = val.as_string();
     else if (k == "seed") r.seed = val.as_uint();
     else if (k == "cell") r.cell = val.as_uint();
     else if (k == "events") r.events = val.as_uint();
     else if (k == "wall_ms") r.wall_ms = val.as_double();
-    else if (k == "ok") r.ok = val.as_bool();
-    else if (k == "status") r.status = job_status_from_string(val.as_string());
-    else if (k == "attempts")
-      r.attempts = static_cast<unsigned>(val.as_uint());
+    else if (k == "ok") ok = val.as_bool();
+    else if (k == "status") status = job_status_from_string(val.as_string());
     else if (k == "error") r.error = val.as_string();
     else if (k == "diagnostics") r.diagnostics = val.as_string();
     else if (k == "metrics") r.metrics = metrics_from_json(val);
     else if (k == "registry") r.registry = registry_from_json(val);
     else if (val.is_string()) r.tags[k] = val.as_string();  // flattened tag
   }
-  if (r.ok) r.status = JobStatus::kOk;  // pre-status reports only carry "ok"
+  // "status" is the one source of truth; "ok" is read only from reports
+  // written before the status field existed.
+  r.status = status.value_or(ok ? JobStatus::kOk : JobStatus::kFailed);
+  r.ok = r.status == JobStatus::kOk;
   return r;
 }
 

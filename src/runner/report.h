@@ -21,10 +21,8 @@
 //         "cell": 2,              // global index in the full grid
 //         "events": 987654,
 //         "wall_ms": 812.3,              // volatile
-//         "ok": true,
-//         "status": "ok",         // "ok" | "failed" | "timeout" |
-//                                 // "invariant_violation"
-//         "attempts": 2,          // only when transient retries were used
+//         "ok": true,             // status == "ok"
+//         "status": "ok",         // "ok" | "failed" | "invariant_violation"
 //         "error": "...",         // only when !ok
 //         "diagnostics": "...",   // only for watchdog aborts (snapshot)
 //         "metrics": { "duration": ..., "avg_queue_pkts": ..., ... },

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "runner/journal.h"
 #include "runner/progress.h"
@@ -27,148 +25,34 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// Watches the set of in-flight jobs and requests cooperative cancellation on
-/// the ones that blow their wall-clock budget. One monitor per batch; workers
-/// arm/disarm around each attempt. The monitor never touches job state other
-/// than the cancel flag, so there is no race with the worker reading results.
-class TimeoutMonitor {
- public:
-  explicit TimeoutMonitor(double timeout_ms)
-      : timeout_(std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(timeout_ms))),
-        poll_(std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                std::min(50.0, std::max(1.0, timeout_ms / 4.0))))),
-        thread_([this] { loop(); }) {}
-
-  ~TimeoutMonitor() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_one();
-    thread_.join();
-  }
-
-  void arm(const Job& job) {
-    std::lock_guard<std::mutex> lock(mu_);
-    active_[&job] = Clock::now() + timeout_;
-  }
-
-  void disarm(const Job& job) {
-    std::lock_guard<std::mutex> lock(mu_);
-    active_.erase(&job);
-  }
-
- private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      cv_.wait_for(lock, poll_);
-      const auto now = Clock::now();
-      for (auto it = active_.begin(); it != active_.end();) {
-        if (now >= it->second) {
-          it->first->cancel.request();
-          it = active_.erase(it);  // request once; the job aborts itself
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-
-  const Clock::duration timeout_;
-  const Clock::duration poll_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::map<const Job*, Clock::time_point> active_;
-  std::thread thread_;
-};
-
-/// RAII arm/disarm of one job attempt on the (optional) monitor.
-class TimeoutGuard {
- public:
-  TimeoutGuard(TimeoutMonitor* monitor, const Job& job)
-      : monitor_(monitor), job_(job) {
-    if (monitor_) monitor_->arm(job_);
-  }
-  ~TimeoutGuard() {
-    if (monitor_) monitor_->disarm(job_);
-  }
-  TimeoutGuard(const TimeoutGuard&) = delete;
-  TimeoutGuard& operator=(const TimeoutGuard&) = delete;
-
- private:
-  TimeoutMonitor* monitor_;
-  const Job& job_;
-};
-
-/// Runs one job body (with retries for transient failures), classifying the
-/// outcome into JobResult::status and capturing watchdog diagnostics.
-JobResult execute(const Job& job, unsigned max_retries,
-                  TimeoutMonitor* monitor) {
+/// Runs one job body once, classifying the outcome into JobResult::status
+/// and capturing watchdog diagnostics.
+JobResult execute(const Job& job) {
   JobResult r;
   r.key = job.key;
   r.seed = job.seed;
   r.tags = job.tags;
   const auto t0 = Clock::now();
-  for (unsigned attempt = 1;; ++attempt) {
-    r.attempts = attempt;
-    job.cancel.reset();
-    try {
-      {
-        TimeoutGuard guard(monitor, job);
-        // Invoke a fresh copy of the body each attempt. std::function calls
-        // through to mutable lambda state that persists across invocations,
-        // so a retried attempt would otherwise see whatever the failed
-        // attempt left in the closure's captures (accumulated Queue::Stats
-        // snapshots, half-updated configs) and double-count it in the
-        // retried cell's report.
-        std::function<JobOutput(const Job&)> body = job.run;
-        const JobOutput out = body(job);
-        r.metrics = out.metrics;
-        r.events = out.events;
-        r.registry = out.registry;
-      }
-      if (job.cancel.requested()) {
-        // The body outlived its wall-clock budget but never honored the
-        // cancellation request (no watchdog, or too coarse a check tick).
-        // It still blew the budget: report timeout, not ok, so a sweep can
-        // never silently absorb a cell that ran unboundedly long. The
-        // metrics are kept for forensics.
-        r.status = JobStatus::kTimeout;
-        r.error =
-            "wall-clock timeout exceeded (job ignored the cancellation "
-            "request and ran to completion)";
-      } else {
-        r.status = JobStatus::kOk;
-        r.error.clear();
-      }
-    } catch (const TransientError& e) {
-      if (attempt <= max_retries) continue;  // same seed, fresh attempt
-      r.status = JobStatus::kFailed;
-      r.error = e.what();
-    } catch (const sim::CancelledError& e) {
-      r.status = JobStatus::kTimeout;
-      r.error = e.what();
-      r.diagnostics = e.diagnostics();
-    } catch (const sim::InvariantViolation& e) {
-      r.status = JobStatus::kInvariantViolation;
-      r.error = e.what();
-      r.diagnostics = e.diagnostics();
-    } catch (const sim::DiagnosticError& e) {  // StallError and friends
-      r.status = JobStatus::kFailed;
-      r.error = e.what();
-      r.diagnostics = e.diagnostics();
-    } catch (const std::exception& e) {
-      r.status = JobStatus::kFailed;
-      r.error = e.what();
-    } catch (...) {
-      r.status = JobStatus::kFailed;
-      r.error = "unknown exception";
-    }
-    break;
+  try {
+    JobOutput out = job.run(job);
+    r.metrics = out.metrics;
+    r.events = out.events;
+    r.registry = std::move(out.registry);
+    r.status = JobStatus::kOk;
+  } catch (const sim::InvariantViolation& e) {
+    r.status = JobStatus::kInvariantViolation;
+    r.error = e.what();
+    r.diagnostics = e.diagnostics();
+  } catch (const sim::DiagnosticError& e) {  // StallError and friends
+    r.status = JobStatus::kFailed;
+    r.error = e.what();
+    r.diagnostics = e.diagnostics();
+  } catch (const std::exception& e) {
+    r.status = JobStatus::kFailed;
+    r.error = e.what();
+  } catch (...) {
+    r.status = JobStatus::kFailed;
+    r.error = "unknown exception";
   }
   r.ok = r.status == JobStatus::kOk;
   r.wall_ms = ms_since(t0);
@@ -187,7 +71,6 @@ std::string batch_status(const std::vector<JobResult>& results) {
 std::string_view to_string(JobStatus s) {
   switch (s) {
     case JobStatus::kOk: return "ok";
-    case JobStatus::kTimeout: return "timeout";
     case JobStatus::kInvariantViolation: return "invariant_violation";
     case JobStatus::kFailed: break;
   }
@@ -196,7 +79,6 @@ std::string_view to_string(JobStatus s) {
 
 JobStatus job_status_from_string(std::string_view s) {
   if (s == "ok") return JobStatus::kOk;
-  if (s == "timeout") return JobStatus::kTimeout;
   if (s == "invariant_violation") return JobStatus::kInvariantViolation;
   return JobStatus::kFailed;
 }
@@ -254,7 +136,7 @@ RunReport ExperimentRunner::run(const std::vector<Job>& jobs) {
         for (JobResult& r : rec.records) {
           const auto it = index.find(r.key);
           // Only ok cells with the job's exact derived seed short-circuit;
-          // failed/timeout cells (and stale seeds) re-run on resume.
+          // failed cells (and stale seeds) re-run on resume.
           if (it == index.end() || r.seed != jobs[owned[it->second]].seed ||
               r.status != JobStatus::kOk)
             continue;
@@ -276,10 +158,6 @@ RunReport ExperimentRunner::run(const std::vector<Job>& jobs) {
       std::min<std::size_t>(opts_.threads, remaining == 0 ? 1 : remaining));
   report.threads = n_workers;
 
-  std::unique_ptr<TimeoutMonitor> monitor;
-  if (opts_.job_timeout_ms > 0 && remaining > 0)
-    monitor = std::make_unique<TimeoutMonitor>(opts_.job_timeout_ms);
-
   // Progress totals (and the ETA derived from them) describe the shard's
   // slice, not the full grid: a 1/8th shard of a 1000-cell grid is a
   // 125-cell batch as far as throughput extrapolation goes.
@@ -297,7 +175,7 @@ RunReport ExperimentRunner::run(const std::vector<Job>& jobs) {
 
   auto run_one = [&](std::size_t slot) {
     const std::size_t gi = owned[slot];
-    JobResult r = execute(jobs[gi], opts_.max_retries, monitor.get());
+    JobResult r = execute(jobs[gi]);
     r.cell = gi;
     report.results[slot] = std::move(r);
     if (journal) journal->append(report.results[slot]);

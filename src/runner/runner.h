@@ -24,15 +24,6 @@ struct RunnerOptions {
   bool progress = true;
   /// Batch label for progress lines and RunReport::name.
   std::string name = "experiments";
-  /// Per-job wall-clock timeout in milliseconds; 0 = none. Cancellation is
-  /// cooperative: the monitor sets job.cancel, and the job's simulation
-  /// watchdog (WatchdogOptions::cancel) aborts at its next check tick with a
-  /// diagnostic snapshot. The job is reported status=timeout; other jobs are
-  /// unaffected.
-  double job_timeout_ms = 0;
-  /// Retries (same seed) for jobs that throw runner::TransientError. The
-  /// final attempt's failure is reported if they all fail.
-  unsigned max_retries = 0;
   /// When non-empty, every completed JobResult is appended to this crash-safe
   /// journal (one checksummed JSONL record, fsync'd) as it finishes — see
   /// runner/journal.h and docs/runner.md "Crash safety & resume".
@@ -57,11 +48,10 @@ class ExperimentRunner {
   explicit ExperimentRunner(RunnerOptions opts = {});
 
   /// Executes the batch and returns one result per job, in submission order.
-  /// A job that throws is reported as failed with the exception message (and
-  /// a diagnostics snapshot for watchdog aborts); it never takes down the
-  /// batch. threads==1 runs the jobs in order on the calling thread (exact
-  /// serial semantics, no worker thread is spawned; a timeout monitor thread
-  /// still runs when job_timeout_ms > 0).
+  /// Each job body runs once. A job that throws is reported as failed with
+  /// the exception message (and a diagnostics snapshot for watchdog aborts);
+  /// it never takes down the batch. threads==1 runs the jobs in order on the
+  /// calling thread (exact serial semantics, no thread is spawned).
   RunReport run(const std::vector<Job>& jobs);
 
   unsigned threads() const { return opts_.threads; }

@@ -1,9 +1,9 @@
 // Structured simulation errors.
 //
 // Every abnormal termination of a simulation — invariant violation, stall,
-// cooperative cancellation, runaway event loop — throws one of these. They
-// all derive from DiagnosticError, which carries a human-readable diagnostics
-// snapshot (event-queue depth, per-flow state, whatever the thrower attached)
+// runaway event loop — throws one of these. They all derive from
+// DiagnosticError, which carries a human-readable diagnostics snapshot
+// (event-queue depth, per-flow state, whatever the thrower attached)
 // alongside the what() message, so the experiment runner can convert an abort
 // into a structured JobResult instead of losing the whole batch.
 #pragma once
@@ -59,13 +59,6 @@ class InvariantViolation : public DiagnosticError {
 /// dispatched an unreasonable number of events without advancing time
 /// (zero-delay event loop).
 class StallError : public DiagnosticError {
- public:
-  using DiagnosticError::DiagnosticError;
-};
-
-/// A cooperative cancellation flag was observed set (wall-clock timeout or
-/// user abort requested by the experiment runner).
-class CancelledError : public DiagnosticError {
  public:
   using DiagnosticError::DiagnosticError;
 };

@@ -29,10 +29,11 @@
 // Same-timestamp dispatch is batched: run_batch() drains the whole run of
 // events sharing the earliest timestamp off the heap in one pop loop, then
 // dispatches them back-to-back through a small reusable buffer. Heap
-// maintenance and callback execution stop interleaving at high event density
-// (ACK bursts, synchronized starts), while cancellation keeps exact
-// semantics: an event cancelled by an earlier callback in its own batch is
-// skipped, precisely as the unbatched loop would have skipped it.
+// maintenance and callback execution stop interleaving when many events
+// share an instant (in practice the PERT/PI and PERT/REM sampling timers,
+// which tick in lockstep), while cancellation keeps exact semantics: an
+// event cancelled by an earlier callback in its own batch is skipped,
+// precisely as the unbatched loop would have skipped it.
 #pragma once
 
 #include <cassert>

@@ -87,10 +87,6 @@ void InvariantChecker::tick() {
     }
   }
 
-  if (opts_.cancel && opts_.cancel->load(std::memory_order_acquire))
-    throw CancelledError("cancellation requested (wall-clock timeout?)",
-                         snapshot());
-
   pending_ = sched_->schedule_in(opts_.check_interval, [this] { tick(); });
 }
 

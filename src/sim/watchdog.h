@@ -1,5 +1,4 @@
-// Simulation watchdog: periodic invariant checking, stall detection, and
-// cooperative cancellation.
+// Simulation watchdog: periodic invariant checking and stall detection.
 //
 // An InvariantChecker self-schedules on the simulation clock (one event every
 // check_interval simulated seconds) and on each tick:
@@ -9,16 +8,13 @@
 //      snapshot (event-queue depth plus every registered diagnostic),
 //   3. compares the progress probe against its last value; if it has not
 //      moved for stall_timeout simulated seconds the run aborts with a
-//      StallError and the same snapshot,
-//   4. polls the cancel flag (set by the experiment runner's wall-clock
-//      timeout monitor) and aborts with CancelledError when it is set.
+//      StallError and the same snapshot.
 //
 // The checker is deterministic: it schedules at fixed simulated times and
 // consumes no randomness, so enabling it never changes simulation results —
 // only adds events (tier-1 suites run with it enabled everywhere).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -38,9 +34,6 @@ struct WatchdogOptions {
   /// Abort if the progress probe is flat for this many simulated seconds.
   /// 0 disables stall detection.
   Time stall_timeout = 120.0;
-  /// Cooperative cancellation flag (owned elsewhere, e.g. the runner's
-  /// CancelToken); polled every tick when non-null.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 class InvariantChecker {

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
 #include <initializer_list>
 #include <set>
 #include <string>
@@ -190,6 +191,40 @@ TEST(CliSurface, BatchFailuresExitOneWithAnErrorLine) {
     }
   }
   std::remove(other.c_str());
+}
+
+TEST(CliSurface, MalformedInputFilesAreErrorLinesNotCrashes) {
+  const std::string deep =
+      std::string(300000, '[') + std::string(300000, ']');
+  const std::string report = ::testing::TempDir() + "cli_deep.json";
+  const std::string bundle = ::testing::TempDir() + "cli_deep_bundle.json";
+  const std::string counts = ::testing::TempDir() + "cli_counts_bundle.json";
+  const auto write = [](const std::string& path, const std::string& text) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  };
+  // A repro bundle that recorded a crash: a replay that crashed for any
+  // reason would print REPRODUCED and exit 0.
+  const std::string head =
+      R"({"pert_fuzz_repro": 2, "kind": "crash", "detail": "", "scenario": )";
+  write(report, deep);
+  write(bundle, head + deep + "}");
+  write(counts, head + R"({"num_fwd_flows": 4294967298.0}})");
+  const struct {
+    std::string command;
+    int status;
+  } cases[] = {
+      {tool("sweep_merge") + " " + report, 1},
+      {tool("pert_sim") + " repro=" + bundle, 2},
+      {tool("pert_sim") + " repro=" + counts, 2},
+  };
+  for (const auto& c : cases) {
+    const Outcome r = run(c.command);
+    EXPECT_EQ(r.status, c.status) << c.command << ":\n" << r.output;
+    EXPECT_NE(r.output.find("error: "), std::string::npos)
+        << c.command << ":\n" << r.output;
+  }
+  for (const std::string& path : {report, bundle, counts})
+    std::remove(path.c_str());
 }
 
 TEST(FuzzScenariosCli, ExplicitItersWinOverBudgetMode) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,29 @@ TEST(FuzzScenario, SchemeJsonRoundTripsEveryAliasAndRegisteredCombo) {
   const Scenario legacy = scenario_from_json(
       runner::JsonValue::parse(R"({"seed": 3, "scheme": "sack-droptail"})"));
   EXPECT_EQ(legacy.scheme, parse_scheme_spec("sack"));
+}
+
+TEST(FuzzScenario, IntegerFieldsRejectNonIntegralAndOutOfRangeValues) {
+  for (const char* field :
+       {"num_fwd_flows", "num_rev_flows", "num_web_sessions", "buffer_pkts",
+        "num_routers", "hosts_per_cloud", "flap_count"}) {
+    for (const char* value : {"2.7", "4294967298.0", "-1e300"}) {
+      const std::string doc =
+          std::string("{\"") + field + "\": " + value + "}";
+      try {
+        scenario_from_json(runner::JsonValue::parse(doc));
+        ADD_FAILURE() << doc << " decoded";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+    // The extremes of the type still decode.
+    for (const char* value : {"2147483647", "-2147483648.0", "0"})
+      EXPECT_NO_THROW(scenario_from_json(runner::JsonValue::parse(
+          std::string("{\"") + field + "\": " + value + "}")))
+          << field << " = " << value;
+  }
 }
 
 TEST(FuzzScenario, ConfigMaterialization) {

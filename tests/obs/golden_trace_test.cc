@@ -58,8 +58,7 @@ std::vector<std::string> run_batch(unsigned threads, const std::string& tag) {
     const std::string path =
         "/tmp/pert_golden_trace_" + tag + "_" + std::to_string(cell) + ".json";
     paths.push_back(path);
-    job.run = [cfg, path](const runner::Job& j) mutable {
-      cfg.watchdog.cancel = j.cancel.flag();
+    job.run = [cfg, path](const runner::Job&) {
       exp::Dumbbell d(cfg);
       runner::JobOutput out;
       out.metrics = d.measure_window(2.0, 4.0);

@@ -224,6 +224,51 @@ TEST(Journal, CorruptHeaderMakesJournalUnusable) {
   EXPECT_FALSE(rec.usable);
 }
 
+TEST(Journal, UnparseableHeaderMakesJournalUnusable) {
+  TempJournal tj("journal_unparseable_header.journal");
+  // A checksummed header line whose JSON does not parse is as untrustworthy
+  // as a corrupt one: quarantined, and a --resume starts fresh.
+  spew(tj.path, journal_frame('H', "{\"journal\":") +
+                    journal_frame('R', to_json(make_result(0)).dump()));
+  const JournalRecovery rec = recover_journal(tj.path);
+  EXPECT_FALSE(rec.usable);
+  EXPECT_EQ(rec.quarantined, 1u);
+
+  RunnerOptions opts;
+  opts.name = "uh";
+  opts.progress = false;
+  opts.journal_path = tj.path;
+  opts.resume = true;
+  const RunReport rep = ExperimentRunner(opts).run(make_jobs(2));
+  EXPECT_EQ(rep.resumed, 0u);
+  EXPECT_EQ(rep.status, "ok");
+  EXPECT_TRUE(recover_journal(tj.path).usable);
+}
+
+TEST(Journal, DeeplyNestedRecordQuarantinedOthersRecovered) {
+  TempJournal tj("journal_deep.journal");
+  const auto jobs = make_jobs(3);
+  {
+    Journal j = Journal::start_fresh(tj.path, journal_header("deep", jobs));
+    j.append(make_result(0));
+    j.append(make_result(2));
+  }
+  // A checksummed record nested far past JsonValue::kMaxDepth, between two
+  // good ones.
+  std::string full = slurp(tj.path);
+  const std::size_t second = full.find('\n', full.find('\n') + 1) + 1;
+  full.insert(second, journal_frame('R', std::string(300000, '[') +
+                                             std::string(300000, ']')));
+  spew(tj.path, full);
+
+  const JournalRecovery rec = recover_journal(tj.path);
+  ASSERT_TRUE(rec.usable);
+  EXPECT_EQ(rec.quarantined, 1u);
+  ASSERT_EQ(rec.records.size(), 2u);
+  EXPECT_EQ(rec.records[0].key, "cell/0");
+  EXPECT_EQ(rec.records[1].key, "cell/2");
+}
+
 TEST(Journal, HeaderPinsNameJobCountAndGrid) {
   const auto jobs = make_jobs(3);
   const JournalHeader base = journal_header("sweep", jobs);

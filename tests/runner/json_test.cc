@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace pert::runner {
 namespace {
@@ -81,6 +83,24 @@ TEST(Json, ParseRejectsNonFiniteWithTypedError) {
        {"NaN", "nan", "-NaN", "Infinity", "-Infinity", "inf", "-inf", "Inf",
         "infinity", "{\"x\":NaN}", "[1,Infinity]", "1e999", "-1e999"}) {
     EXPECT_THROW(JsonValue::parse(bad), JsonParseError) << bad;
+  }
+}
+
+TEST(Json, ParseBoundsNestingDepth) {
+  const auto arrays = [](std::size_t n) {
+    return std::string(n, '[') + std::string(n, ']');
+  };
+  const auto objects = [](std::size_t n) {
+    std::string s;
+    for (std::size_t i = 0; i < n; ++i) s += "{\"a\":";
+    return s + "0" + std::string(n, '}');
+  };
+  constexpr std::size_t kMax = JsonValue::kMaxDepth;
+  EXPECT_NO_THROW(JsonValue::parse(arrays(kMax)));
+  EXPECT_NO_THROW(JsonValue::parse(objects(kMax)));
+  for (const std::size_t n : {kMax + 1, std::size_t{300000}}) {
+    EXPECT_THROW(JsonValue::parse(arrays(n)), JsonParseError) << n;
+    EXPECT_THROW(JsonValue::parse(objects(n)), JsonParseError) << n;
   }
 }
 

@@ -40,6 +40,7 @@ RunReport sample_report() {
   r.events = 123456789ULL;
   r.wall_ms = 812.0625;
   r.ok = true;
+  r.status = JobStatus::kOk;
   rep.results.push_back(r);
 
   JobResult bad;
@@ -99,6 +100,25 @@ TEST(Report, SchemaStableKeys) {
   const JsonValue& bad = doc.at("results").as_array().back();
   EXPECT_FALSE(bad.at("ok").as_bool());
   EXPECT_EQ(bad.at("error").as_string(), "boom");
+}
+
+TEST(Report, StatusAloneDecidesOk) {
+  // A record whose "ok" disagrees with its "status" follows the status.
+  const JobResult done = result_from_json(
+      JsonValue::parse(R"({"key":"a","ok":false,"status":"ok"})"));
+  EXPECT_EQ(done.status, JobStatus::kOk);
+  EXPECT_TRUE(done.ok);
+  const JobResult failed = result_from_json(
+      JsonValue::parse(R"({"key":"a","ok":true,"status":"failed"})"));
+  EXPECT_EQ(failed.status, JobStatus::kFailed);
+  EXPECT_FALSE(failed.ok);
+  // Reports written before the status field carry only "ok".
+  for (const bool ok : {true, false}) {
+    const JobResult old = result_from_json(JsonValue::parse(
+        std::string(R"({"key":"a","ok":)") + (ok ? "true" : "false") + "}"));
+    EXPECT_EQ(old.ok, ok);
+    EXPECT_EQ(old.status, ok ? JobStatus::kOk : JobStatus::kFailed);
+  }
 }
 
 TEST(Report, FileRoundTrip) {

@@ -1,16 +1,11 @@
-// Runner crash/timeout isolation: a hung or throwing job becomes a structured
-// JobResult (status, error, diagnostics) while its siblings complete with
-// byte-identical metrics; transient failures retry with the same seed; the
-// batch status reflects partial failure; the JSON round-trip preserves all of
-// it.
+// Runner crash isolation: a throwing job becomes a structured JobResult
+// (status, error, diagnostics) while its siblings complete with
+// byte-identical metrics; the batch status reflects partial failure; the
+// JSON round-trip and the journal preserve all of it.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runner/journal.h"
@@ -42,27 +37,26 @@ RunReport run(const std::vector<Job>& jobs, RunnerOptions opts) {
   return ExperimentRunner(opts).run(jobs);
 }
 
-TEST(Resilience, CooperativelyHungJobTimesOutSiblingsComplete) {
+TEST(Resilience, FailedCellLeavesSiblingsIdenticalAndReachesTheJournal) {
   std::vector<Job> jobs;
   for (int i = 0; i < 5; ++i) jobs.push_back(quick_job(i));
-  // Job 2 "hangs": it spins until the runner's timeout monitor requests
-  // cancellation (what the simulation watchdog does on its check ticks).
-  jobs[2].run = [](const Job& self) -> JobOutput {
-    while (!self.cancel.requested())
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    throw sim::CancelledError("cancellation requested (wall-clock timeout?)",
-                              "event-queue depth: 3\n  flow 0: cwnd=2\n");
+  jobs[2].run = [](const Job&) -> JobOutput {
+    throw sim::StallError("no progress for 30 simulated seconds",
+                          "event-queue depth: 3\n  flow 0: cwnd=2\n");
   };
 
   RunnerOptions opts;
   opts.threads = 4;
-  opts.job_timeout_ms = 60;
+  const std::string journal_path =
+      ::testing::TempDir() + "failed_cell.journal";
+  std::remove(journal_path.c_str());
+  opts.journal_path = journal_path;
   const RunReport rep = run(jobs, opts);
 
   EXPECT_EQ(rep.status, "partial");
   EXPECT_FALSE(rep.results[2].ok);
-  EXPECT_EQ(rep.results[2].status, JobStatus::kTimeout);
-  EXPECT_NE(rep.results[2].error.find("cancellation"), std::string::npos);
+  EXPECT_EQ(rep.results[2].status, JobStatus::kFailed);
+  EXPECT_NE(rep.results[2].error.find("no progress"), std::string::npos);
   EXPECT_NE(rep.results[2].diagnostics.find("cwnd=2"), std::string::npos);
 
   // Siblings byte-identical to a clean run of the same cells.
@@ -75,126 +69,25 @@ TEST(Resilience, CooperativelyHungJobTimesOutSiblingsComplete) {
     EXPECT_EQ(rep.results[i].metrics, ref.results[i].metrics) << i;
     EXPECT_EQ(rep.results[i].events, ref.results[i].events) << i;
   }
-}
 
-TEST(Resilience, JobIgnoringCancellationStillReportedTimeout) {
-  // A job body with no watchdog (or too coarse a check tick) never observes
-  // the cancellation request and runs to completion anyway. It still blew
-  // its wall-clock budget: the runner must classify it timeout, never ok,
-  // so a sweep cannot silently absorb an unboundedly slow cell.
-  std::vector<Job> jobs;
-  for (int i = 0; i < 4; ++i) jobs.push_back(quick_job(i));
-  jobs[1].run = [](const Job&) -> JobOutput {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    JobOutput out;  // completes "successfully", cancel flag never checked
-    out.metrics.utilization = 0.42;
-    out.events = 7;
-    return out;
-  };
-
-  RunnerOptions opts;
-  opts.threads = 4;
-  opts.job_timeout_ms = 40;
-  const std::string journal_path =
-      ::testing::TempDir() + "timeout_ignore.journal";
-  std::remove(journal_path.c_str());
-  opts.journal_path = journal_path;
-  const RunReport rep = run(jobs, opts);
-
-  EXPECT_EQ(rep.status, "partial");
-  EXPECT_FALSE(rep.results[1].ok);
-  EXPECT_EQ(rep.results[1].status, JobStatus::kTimeout);
-  EXPECT_NE(rep.results[1].error.find("ignored the cancellation"),
-            std::string::npos);
-  // Metrics are kept for forensics even though the cell is not ok.
-  EXPECT_EQ(rep.results[1].metrics.utilization, 0.42);
-
-  // The stuck cell never blocked its siblings' journal records: all four
-  // cells (including the timed-out one) are on disk and decodable.
+  // Every cell, the failed one included, is on disk and decodable.
   const JournalRecovery rec = recover_journal(journal_path);
   ASSERT_TRUE(rec.usable);
-  EXPECT_EQ(rec.records.size(), 4u);
+  EXPECT_EQ(rec.records.size(), 5u);
   EXPECT_EQ(rec.quarantined, 0u);
-  std::size_t ok_cells = 0, timeout_cells = 0;
+  std::size_t ok_cells = 0;
   for (const JobResult& r : rec.records) {
-    if (r.status == JobStatus::kOk) ++ok_cells;
-    if (r.status == JobStatus::kTimeout) ++timeout_cells;
+    if (r.ok) {
+      ++ok_cells;
+    } else {
+      EXPECT_EQ(r.key, jobs[2].key);
+      EXPECT_EQ(r.status, JobStatus::kFailed);
+      EXPECT_NE(r.diagnostics.find("cwnd=2"), std::string::npos);
+    }
   }
-  EXPECT_EQ(ok_cells, 3u);
-  EXPECT_EQ(timeout_cells, 1u);
+  EXPECT_EQ(ok_cells, 4u);
   std::remove(journal_path.c_str());
   std::remove((journal_path + ".quarantine").c_str());
-}
-
-TEST(Resilience, TransientErrorRetriesSameSeed) {
-  std::vector<Job> jobs;
-  jobs.push_back(quick_job(0));
-  auto tries = std::make_shared<std::atomic<int>>(0);
-  auto seeds = std::make_shared<std::vector<std::uint64_t>>();
-  jobs[0].run = [tries, seeds](const Job& self) -> JobOutput {
-    seeds->push_back(self.seed);
-    if (tries->fetch_add(1) < 2)
-      throw TransientError("spurious infrastructure failure");
-    JobOutput out;
-    out.events = 1;
-    return out;
-  };
-  RunnerOptions opts;
-  opts.max_retries = 3;
-  const RunReport rep = run(jobs, opts);
-  EXPECT_TRUE(rep.results[0].ok);
-  EXPECT_EQ(rep.results[0].attempts, 3u);  // 2 transient failures + success
-  ASSERT_EQ(seeds->size(), 3u);
-  EXPECT_EQ((*seeds)[0], (*seeds)[1]);  // retries reuse the seed exactly
-  EXPECT_EQ((*seeds)[0], (*seeds)[2]);
-  EXPECT_EQ(rep.status, "ok");
-}
-
-TEST(Resilience, RetryGetsFreshClosureState) {
-  // Regression: the runner used to call the same std::function object for
-  // every attempt, so mutable state captured by the body (snapshotted
-  // Queue::Stats drop-cause counters, accumulated totals) survived a
-  // TransientError and double-counted in the retried cell's report. Each
-  // attempt must run a fresh copy of the closure.
-  std::vector<Job> jobs;
-  jobs.push_back(quick_job(0));
-  auto tries = std::make_shared<std::atomic<int>>(0);
-  jobs[0].run = [tries, drops = std::uint64_t{0},
-                 congestion = std::uint64_t{0}](const Job&) mutable
-      -> JobOutput {
-    // Mimics a body accumulating queue-stat snapshots into its captures.
-    drops += 7;
-    congestion += 3;
-    if (tries->fetch_add(1) == 0)
-      throw TransientError("flaky on first attempt");
-    JobOutput out;
-    out.metrics.drops = drops;
-    out.metrics.congestion_drops = congestion;
-    return out;
-  };
-  RunnerOptions opts;
-  opts.max_retries = 2;
-  const RunReport rep = run(jobs, opts);
-  ASSERT_TRUE(rep.results[0].ok);
-  EXPECT_EQ(rep.results[0].attempts, 2u);
-  EXPECT_EQ(rep.results[0].metrics.drops, 7u);  // not 14: no leak across
-  EXPECT_EQ(rep.results[0].metrics.congestion_drops, 3u);  // attempts
-}
-
-TEST(Resilience, TransientErrorExhaustsRetriesThenFails) {
-  std::vector<Job> jobs;
-  jobs.push_back(quick_job(0));
-  jobs[0].run = [](const Job&) -> JobOutput {
-    throw TransientError("always flaky");
-  };
-  RunnerOptions opts;
-  opts.max_retries = 2;
-  const RunReport rep = run(jobs, opts);
-  EXPECT_FALSE(rep.results[0].ok);
-  EXPECT_EQ(rep.results[0].status, JobStatus::kFailed);
-  EXPECT_EQ(rep.results[0].attempts, 3u);
-  EXPECT_EQ(rep.results[0].error, "always flaky");
-  EXPECT_EQ(rep.status, "failed");
 }
 
 TEST(Resilience, InvariantViolationCarriesDiagnostics) {
@@ -231,14 +124,11 @@ TEST(Resilience, StallErrorReportsFailedWithDiagnostics) {
 TEST(Resilience, StatusJsonRoundTrip) {
   std::vector<Job> jobs;
   for (int i = 0; i < 3; ++i) jobs.push_back(quick_job(i));
-  jobs[1].run = [](const Job& self) -> JobOutput {
-    while (!self.cancel.requested())
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    throw sim::CancelledError("cancelled", "snapshot here\n");
+  jobs[1].run = [](const Job&) -> JobOutput {
+    throw sim::InvariantViolation("violated", "snapshot here\n");
   };
   RunnerOptions opts;
   opts.threads = 3;
-  opts.job_timeout_ms = 50;
   const RunReport rep = run(jobs, opts);
   ASSERT_EQ(rep.status, "partial");
 
@@ -249,9 +139,9 @@ TEST(Resilience, StatusJsonRoundTrip) {
 
   EXPECT_EQ(back.status, "partial");
   ASSERT_EQ(back.results.size(), 3u);
-  EXPECT_EQ(back.results[1].status, JobStatus::kTimeout);
+  EXPECT_EQ(back.results[1].status, JobStatus::kInvariantViolation);
   EXPECT_FALSE(back.results[1].ok);
-  EXPECT_EQ(back.results[1].error, "cancelled");
+  EXPECT_EQ(back.results[1].error, "violated");
   EXPECT_NE(back.results[1].diagnostics.find("snapshot"), std::string::npos);
   EXPECT_EQ(back.results[0].status, JobStatus::kOk);
   EXPECT_EQ(back.results[0].metrics, rep.results[0].metrics);
@@ -259,26 +149,9 @@ TEST(Resilience, StatusJsonRoundTrip) {
 
 TEST(Resilience, JobStatusStringsRoundTrip) {
   for (JobStatus s :
-       {JobStatus::kOk, JobStatus::kFailed, JobStatus::kTimeout,
-        JobStatus::kInvariantViolation})
+       {JobStatus::kOk, JobStatus::kFailed, JobStatus::kInvariantViolation})
     EXPECT_EQ(job_status_from_string(to_string(s)), s);
   EXPECT_EQ(job_status_from_string("garbage"), JobStatus::kFailed);
-}
-
-TEST(Resilience, NoTimeoutMeansNoMonitorInterference) {
-  // Without job_timeout_ms the cancel flag never fires, even for slow jobs.
-  std::vector<Job> jobs;
-  jobs.push_back(quick_job(0));
-  jobs[0].run = [](const Job& self) -> JobOutput {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    JobOutput out;
-    out.events = self.cancel.requested() ? 0 : 1;
-    return out;
-  };
-  const RunReport rep = run(jobs, RunnerOptions{});
-  EXPECT_TRUE(rep.results[0].ok);
-  EXPECT_EQ(rep.results[0].events, 1u);
-  EXPECT_EQ(rep.status, "ok");
 }
 
 }  // namespace

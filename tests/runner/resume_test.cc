@@ -118,6 +118,38 @@ RunnerOptions base_opts(unsigned threads) {
   return opts;
 }
 
+/// Replaces `from` with `to` in the journaled record of `key` and re-frames
+/// it with a valid checksum, as a build that wrote that payload would have.
+void edit_record(const std::string& path, const std::string& key,
+                 const std::string& from, const std::string& to) {
+  std::istringstream in(slurp(path));
+  std::ostringstream out;
+  std::string line;
+  std::getline(in, line);
+  out << line << '\n';  // header untouched
+  bool edited = false;
+  while (std::getline(in, line)) {
+    std::string body = line.substr(line.find('{'));
+    const std::size_t at = body.find(from);
+    if (body.find("\"key\":\"" + key + "\"") == std::string::npos ||
+        at == std::string::npos) {
+      out << line << '\n';
+      continue;
+    }
+    out << journal_frame('R', body.replace(at, from.size(), to));
+    edited = true;
+  }
+  ASSERT_TRUE(edited) << key;
+  spew(path, out.str());
+}
+
+const JobResult* find_record(const JournalRecovery& rec,
+                             const std::string& key) {
+  for (const JobResult& r : rec.records)
+    if (r.key == key) return &r;
+  return nullptr;
+}
+
 class ResumeEquivalence : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ResumeEquivalence, CrashedSweepResumesByteIdentical) {
@@ -269,6 +301,67 @@ TEST(Resume, StaleSeedCellsReRun) {
   EXPECT_EQ(rep.resumed, static_cast<std::size_t>(kCells - 1));
   ASSERT_EQ(log->runs.size(), 1u);
   EXPECT_EQ(log->runs.begin()->first, "cell/3");
+  const RunReport ref = ExperimentRunner(base_opts(1)).run(make_jobs(nullptr));
+  EXPECT_EQ(stable_dump(rep), stable_dump(ref));
+}
+
+TEST(Resume, RetiredTimeoutStatusDecodesAsFailedAndReRuns) {
+  // Journals from builds with a wall-clock job timeout can hold
+  // "status":"timeout" and an "attempts" count. Such a record decodes as a
+  // failed cell, so resume re-runs it.
+  TempJournal tj("resume_timeout.journal");
+  RunnerOptions opts = base_opts(2);
+  opts.journal_path = tj.path;
+  ExperimentRunner(opts).run(make_jobs(nullptr));
+  edit_record(tj.path, "cell/4", R"("ok":true,"status":"ok")",
+              R"("ok":false,"status":"timeout","attempts":2,)"
+              R"("error":"wall-clock timeout exceeded")");
+
+  const JournalRecovery rec = recover_journal(tj.path);
+  ASSERT_TRUE(rec.usable);
+  EXPECT_EQ(rec.quarantined, 0u);
+  const JobResult* timed_out = find_record(rec, "cell/4");
+  ASSERT_NE(timed_out, nullptr);
+  EXPECT_EQ(timed_out->status, JobStatus::kFailed);
+  EXPECT_FALSE(timed_out->ok);
+  EXPECT_EQ(timed_out->error, "wall-clock timeout exceeded");
+
+  auto log = std::make_shared<ExecLog>();
+  opts.resume = true;
+  const RunReport rep = ExperimentRunner(opts).run(make_jobs(log));
+  EXPECT_EQ(rep.resumed, static_cast<std::size_t>(kCells - 1));
+  ASSERT_EQ(log->runs.size(), 1u);
+  EXPECT_EQ(log->runs.begin()->first, "cell/4");
+  const RunReport ref = ExperimentRunner(base_opts(1)).run(make_jobs(nullptr));
+  EXPECT_EQ(stable_dump(rep), stable_dump(ref));
+}
+
+TEST(Resume, StatusAloneDecidesWhichRecordsAreDone) {
+  TempJournal tj("resume_ok_status.journal");
+  RunnerOptions opts = base_opts(2);
+  opts.journal_path = tj.path;
+  ExperimentRunner(opts).run(make_jobs(nullptr));
+  edit_record(tj.path, "cell/3", R"("ok":true)", R"("ok":false)");
+  edit_record(tj.path, "cell/7", R"("status":"ok")", R"("status":"failed")");
+
+  const JournalRecovery rec = recover_journal(tj.path);
+  ASSERT_TRUE(rec.usable);
+  const JobResult* done = find_record(rec, "cell/3");
+  const JobResult* failed = find_record(rec, "cell/7");
+  ASSERT_NE(done, nullptr);
+  ASSERT_NE(failed, nullptr);
+  EXPECT_TRUE(done->ok);
+  EXPECT_EQ(done->status, JobStatus::kOk);
+  EXPECT_FALSE(failed->ok);
+  EXPECT_EQ(failed->status, JobStatus::kFailed);
+
+  // cell/3 counts as done; cell/7 re-runs; the report matches a clean run.
+  auto log = std::make_shared<ExecLog>();
+  opts.resume = true;
+  const RunReport rep = ExperimentRunner(opts).run(make_jobs(log));
+  EXPECT_EQ(rep.resumed, static_cast<std::size_t>(kCells - 1));
+  ASSERT_EQ(log->runs.size(), 1u);
+  EXPECT_EQ(log->runs.begin()->first, "cell/7");
   const RunReport ref = ExperimentRunner(base_opts(1)).run(make_jobs(nullptr));
   EXPECT_EQ(stable_dump(rep), stable_dump(ref));
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -73,19 +72,6 @@ TEST(Watchdog, AdvancingProgressSuppressesStall) {
   c.set_progress_probe([&work] { return ++work; });
   c.start();
   EXPECT_NO_THROW(s.run_until(10.0));
-}
-
-TEST(Watchdog, CancelFlagAbortsCooperatively) {
-  Scheduler s;
-  std::atomic<bool> cancel{false};
-  WatchdogOptions opts;
-  opts.check_interval = 0.1;
-  opts.cancel = &cancel;
-  InvariantChecker c(s, opts);
-  c.start();
-  s.schedule_at(0.42, [&cancel] { cancel.store(true); });
-  EXPECT_THROW(s.run_until(10.0), CancelledError);
-  EXPECT_NEAR(s.now(), 0.5, 1e-9);  // next tick after the flag flipped
 }
 
 TEST(Watchdog, DisabledCheckerIsInert) {

@@ -146,9 +146,7 @@ runner::Job scheme_job(const exp::CliOptions& opt, exp::DumbbellConfig cfg) {
   job.seed = cfg.seed;  // same base seed per scheme, as if run one at a time
   job.tags = {{"scheme", cfg.scheme.display}};
   job.run = [cfg, warmup = opt.warmup, measure = opt.measure,
-             files = outputs_for(opt, cfg.scheme)](
-                const runner::Job& j) mutable {
-    cfg.watchdog.cancel = j.cancel.flag();
+             files = outputs_for(opt, cfg.scheme)](const runner::Job&) {
     exp::Dumbbell d(cfg);
     std::unique_ptr<predictors::TraceRecorder> recorder;
     if (!files.trace_out.empty())
