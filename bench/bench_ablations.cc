@@ -131,7 +131,8 @@ int main(int argc, char** argv) {
 
   const runner::RunReport report = opt.run(jobs, "ablations");
 
-  const std::vector<const runner::JobResult*> by_cell = report.by_cell();
+  const std::vector<const runner::JobResult*> by_cell =
+      bench::table_cells(report);
   for (const Section& sec : sections) {
     std::printf("-- %s --\n", sec.title.c_str());
     exp::Table t({sec.label_header, "avg queue (pkts)", "drop rate", "util (%)",
@@ -151,6 +152,5 @@ int main(int argc, char** argv) {
     t.print();
     std::printf("\n");
   }
-  opt.export_report(report);
-  return 0;
+  return opt.finish(report);
 }

@@ -69,18 +69,14 @@ int main(int argc, char** argv) {
 
   exp::Table t({"scheme", "where", "avg queue (pkts)", "drop rate",
                 "ECN marks", "util (%)", "jain", "early resp."});
-  // Under --shard only this shard's cells ran; absent cells print as "-".
-  const std::vector<const runner::JobResult*> by_cell = report.by_cell();
-  int rc = 0;
+  // Under --shard only this shard's cells ran; absent and failed cells
+  // print as "-".
+  const std::vector<const runner::JobResult*> by_cell =
+      bench::table_cells(report);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const exp::SchemeSpec& s = cells[i];
     const runner::JobResult* r = by_cell[i];
-    if (r == nullptr || !r->ok) {
-      if (r != nullptr && !r->ok) {
-        std::fprintf(stderr, "error: %s failed: %s\n", r->key.c_str(),
-                     r->error.c_str());
-        rc = 1;
-      }
+    if (r == nullptr) {
       t.row({s.display, "-", "-", "-", "-", "-", "-", "-"});
       continue;
     }
@@ -91,6 +87,5 @@ int main(int argc, char** argv) {
            exp::fmt(m.jain, "%.3f"), std::to_string(m.early_responses)});
   }
   t.print();
-  opt.export_report(report);
-  return rc;
+  return opt.finish(report);
 }

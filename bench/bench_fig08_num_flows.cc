@@ -42,6 +42,5 @@ int main(int argc, char** argv) {
            : opt.full ? std::pair{100.0, 200.0}
                       : std::pair{20.0, 40.0};
   };
-  opt.export_report(bench::run_dumbbell_sweep(spec, opt));
-  return 0;
+  return opt.finish(bench::run_dumbbell_sweep(spec, opt));
 }

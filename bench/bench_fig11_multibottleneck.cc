@@ -95,8 +95,10 @@ int main(int argc, char** argv) {
 
   const runner::RunReport report = opt.run(jobs, "fig11_multibottleneck");
 
-  // Under --shard only this shard's schemes ran; absent ones print as "-".
-  const std::vector<const runner::JobResult*> by_cell = report.by_cell();
+  // Under --shard only this shard's schemes ran; absent and failed ones
+  // print as "-".
+  const std::vector<const runner::JobResult*> by_cell =
+      bench::table_cells(report);
   for (std::size_t j = 0; j < schemes.size(); ++j) {
     std::printf("scheme: %s\n",
                 schemes[j].display.c_str());
@@ -107,7 +109,7 @@ int main(int argc, char** argv) {
          ++h) {
       std::string hop =
           "R" + std::to_string(h + 1) + "-R" + std::to_string(h + 2);
-      if (r == nullptr || !r->ok) {
+      if (r == nullptr) {
         t.row({std::move(hop), "-", "-", "-", "-"});
         continue;
       }
@@ -122,6 +124,5 @@ int main(int argc, char** argv) {
     t.print();
     std::printf("\n");
   }
-  opt.export_report(report);
-  return 0;
+  return opt.finish(report);
 }

@@ -40,6 +40,5 @@ int main(int argc, char** argv) {
     const double meas = std::max(opt.full ? 200.0 : 40.0, 60.0 * rtt);
     return std::pair{warm, meas};
   };
-  opt.export_report(bench::run_dumbbell_sweep(spec, opt));
-  return 0;
+  return opt.finish(bench::run_dumbbell_sweep(spec, opt));
 }

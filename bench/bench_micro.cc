@@ -179,7 +179,7 @@ void BM_EndToEndDumbbell(benchmark::State& state) {
   net.compute_routes();
   tcp::TcpConfig cfg;
   for (int i = 0; i < 8; ++i) {
-    net.add_agent<tcp::TcpSink>(rhs, 10 + i, net, cfg);
+    net.add_agent<tcp::TcpSink>(rhs, 10 + i, net);
     auto* s = net.add_agent<tcp::TcpSender>(lhs, 10 + i, net, cfg, i);
     s->connect(rhs->id(), 10 + i);
     s->start(0.0);
@@ -211,7 +211,7 @@ void BM_EndToEndSimSecond(benchmark::State& state) {
   net.compute_routes();
   tcp::TcpConfig cfg;
   for (int i = 0; i < 4; ++i) {
-    net.add_agent<tcp::TcpSink>(b, 10 + i, net, cfg);
+    net.add_agent<tcp::TcpSink>(b, 10 + i, net);
     auto* s = net.add_agent<tcp::TcpSender>(a, 10 + i, net, cfg, i);
     s->connect(b->id(), 10 + i);
     s->start(0.0);

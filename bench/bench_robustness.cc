@@ -131,7 +131,8 @@ int main(int argc, char** argv) {
     for (auto s : spec.schemes) headers.emplace_back(s.display);
     exp::Table t(headers);
     const std::size_t ns = spec.schemes.size();
-    const std::vector<const runner::JobResult*> by_cell = report.by_cell();
+    const std::vector<const runner::JobResult*> by_cell =
+        bench::table_cells(report);
     for (std::size_t i = 0; i < spec.xs.size(); ++i) {
       std::vector<std::string> row{spec.x_labels[i]};
       for (std::size_t j = 0; j < ns; ++j) {
@@ -151,6 +152,5 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  opt.export_report(report);
-  return report.status == "ok" ? 0 : 1;
+  return opt.finish(report);
 }

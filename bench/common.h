@@ -5,6 +5,8 @@
 // parameters (Section "Scale substitution" in DESIGN.md). Each bench passes
 // Opts::parse the Reads mask of the flag groups it reads and only those are
 // registered, so --help lists them and any other flag is a usage error.
+// Every runner bench prints absent and failed cells as "-" (table_cells)
+// and exits 1 when a cell it ran failed (Opts::finish).
 #pragma once
 
 #include <cstdio>
@@ -111,18 +113,29 @@ struct Opts {
     }
   }
 
-  /// Writes the report when --json was given. Call once per bench. Exits 1
-  /// with an error line when the file cannot be written.
-  void export_report(const runner::RunReport& report) const {
-    if (run_flags.json.empty()) return;
-    try {
-      runner::write_report(report, run_flags.json);
-    } catch (const std::exception& e) {
-      fail(e);
+  /// Ends the bench, after its tables: writes the report when --json was
+  /// given (exits 1 with an error line when the file cannot be written),
+  /// prints "error: KEY failed: ERROR" to stderr per failed cell, and
+  /// returns the exit status: 1 if a cell this run ran failed, else 0.
+  int finish(const runner::RunReport& report) const {
+    if (!run_flags.json.empty()) {
+      try {
+        runner::write_report(report, run_flags.json);
+      } catch (const std::exception& e) {
+        fail(e);
+      }
+      std::fprintf(stderr, "  report written to %s (%zu jobs, %.2fx speedup)\n",
+                   run_flags.json.c_str(), report.results.size(),
+                   report.speedup());
     }
-    std::fprintf(stderr, "  report written to %s (%zu jobs, %.2fx speedup)\n",
-                 run_flags.json.c_str(), report.results.size(),
-                 report.speedup());
+    int status = 0;
+    for (const runner::JobResult& r : report.results)
+      if (!r.ok) {
+        std::fprintf(stderr, "error: %s failed: %s\n", r.key.c_str(),
+                     r.error.c_str());
+        status = 1;
+      }
+    return status;
   }
 
  private:
@@ -131,5 +144,16 @@ struct Opts {
     std::exit(1);
   }
 };
+
+/// Results by grid cell for a bench's tables: null for a cell this run does
+/// not hold (another --shard owns it) and for a failed cell, so both print
+/// as "-".
+inline std::vector<const runner::JobResult*> table_cells(
+    const runner::RunReport& report) {
+  std::vector<const runner::JobResult*> cells = report.by_cell();
+  for (const runner::JobResult*& r : cells)
+    if (r != nullptr && !r->ok) r = nullptr;
+  return cells;
+}
 
 }  // namespace pert::bench

@@ -98,9 +98,9 @@ inline runner::Job dumbbell_job(std::string key,
 
 /// Executes the sweep grid as `opt` asks (Opts::run) and prints the metric
 /// tables. Returns the full report (per-cell metrics, seeds, event counts,
-/// wall times) for JSON export. With --trace-dir each cell writes its event
-/// trace (see dumbbell_job); under --shard only the shard's cells run and
-/// absent cells print as "-".
+/// wall times) for Opts::finish. With --trace-dir each cell writes its event
+/// trace (see dumbbell_job); under --shard only the shard's cells run.
+/// Absent and failed cells print as "-" (table_cells).
 inline runner::RunReport run_dumbbell_sweep(const SweepSpec& spec,
                                             const Opts& opt) {
   const std::size_t nx = spec.xs.size(), ns = spec.schemes.size();
@@ -123,12 +123,7 @@ inline runner::RunReport run_dumbbell_sweep(const SweepSpec& spec,
 
   runner::RunReport report = opt.run(jobs, spec.name);
 
-  for (const runner::JobResult& r : report.results)
-    if (!r.ok)
-      std::fprintf(stderr, "  WARNING: job %s failed: %s\n", r.key.c_str(),
-                   r.error.c_str());
-
-  const std::vector<const runner::JobResult*> by_cell = report.by_cell();
+  const std::vector<const runner::JobResult*> by_cell = table_cells(report);
   struct MetricDef {
     const char* name;
     const char* fmt;

@@ -4,8 +4,7 @@
 
 #include "core/pert_params.h"
 #include "core/pert_sender.h"
-#include "core/pi_emulation.h"
-#include "core/rem_emulation.h"
+#include "core/sampled_pert.h"
 #include "tcp/cc_registry.h"
 
 namespace pert::core {
@@ -41,10 +40,10 @@ void register_pert_cc_modules() {
   r.add({"pert",
          "PERT: probabilistic early response emulating gentle RED (Sec. 3)",
          false, &make_pert});
-  r.add({"pert-pi",
+  r.add({PiEmulator::kCcName,
          "PERT/PI: end-host PI controller on queueing delay (Sec. 6)", false,
          &make_pert_pi});
-  r.add({"pert-rem",
+  r.add({RemEmulator::kCcName,
          "PERT/REM: end-host REM price on queueing delay (Sec. 6)", false,
          &make_pert_rem});
 }

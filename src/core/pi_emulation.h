@@ -19,14 +19,9 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
-#include "core/srtt_estimator.h"
 #include "sim/sentinel.h"
-#include "sim/random.h"
-#include "sim/timer.h"
 #include "sim/validate.h"
-#include "tcp/tcp_sender.h"
 
 namespace pert::core {
 
@@ -62,8 +57,15 @@ struct PiEmuDesign {
 };
 
 /// The controller itself, reusable outside the sender (tests, fluid checks).
+/// PertPiSender (core/sampled_pert.h) runs it under the names below.
 class PiEmulator {
  public:
+  using Design = PiEmuDesign;
+  static constexpr const char* kCcName = "pert-pi";
+  static constexpr const char* kComponent = "PertPiSender";
+  static constexpr const char* kProbSeries = "pert_pi.prob";
+  static constexpr const char* kTqSeries = "pert_pi.tq";
+
   explicit PiEmulator(const PiEmuDesign& d) : d_(d) {}
 
   /// Feeds one queueing-delay sample; returns the updated probability.
@@ -94,50 +96,6 @@ class PiEmulator {
   PiEmuDesign d_;
   double prob_ = 0.0;
   double prev_tq_ = 0.0;
-
-  friend class SentinelTestPeer;  // NaN-injection tests for the sentinel layer
-};
-
-/// init_arg payload for pert_pi_ops (the design plus the estimator gain).
-struct PertPiConfig {
-  PiEmuDesign design;
-  double srtt_alpha = 0.99;
-};
-
-/// Per-flow PERT/PI state (the module's private-state slot).
-struct PertPiState {
-  PiEmulator pi;
-  SrttEstimator estimator;
-  sim::Rng rng;
-  sim::Timer sample_timer;
-  sim::Time last_early = -1e18;
-};
-
-/// The ops table. init forks the network RNG and starts the sampling
-/// timer; same init_arg lifetime contract as cubic_ops.
-tcp::CongestionOps pert_pi_ops(const PertPiConfig& cfg);
-
-class PertPiSender final : public tcp::TcpSender {
- public:
-  PertPiSender(net::Network& net, tcp::TcpConfig cfg, net::FlowId flow,
-               PiEmuDesign design, double srtt_alpha = 0.99)
-      : tcp::TcpSender(net, std::move(cfg), flow,
-                       pert_pi_ops(PertPiConfig{design, srtt_alpha})) {}
-
-  double response_probability() const noexcept {
-    return state().pi.probability();
-  }
-  const SrttEstimator& estimator() const noexcept {
-    return state().estimator;
-  }
-
- private:
-  const PertPiState& state() const noexcept {
-    return *static_cast<const PertPiState*>(cc_priv());
-  }
-  PertPiState& state() noexcept {
-    return *static_cast<PertPiState*>(cc_priv());
-  }
 
   friend class SentinelTestPeer;  // NaN-injection tests for the sentinel layer
 };

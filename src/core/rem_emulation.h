@@ -16,14 +16,9 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 
-#include "core/srtt_estimator.h"
-#include "sim/random.h"
 #include "sim/sentinel.h"
-#include "sim/timer.h"
 #include "sim/validate.h"
-#include "tcp/tcp_sender.h"
 
 namespace pert::core {
 
@@ -59,8 +54,15 @@ struct RemEmuDesign {
 };
 
 /// The price/probability state machine, reusable outside the sender.
+/// PertRemSender (core/sampled_pert.h) runs it under the names below.
 class RemEmulator {
  public:
+  using Design = RemEmuDesign;
+  static constexpr const char* kCcName = "pert-rem";
+  static constexpr const char* kComponent = "PertRemSender";
+  static constexpr const char* kProbSeries = "pert_rem.prob";
+  static constexpr const char* kTqSeries = "pert_rem.tq";
+
   explicit RemEmulator(const RemEmuDesign& d) : d_(d) {}
 
   double update(double tq) {
@@ -98,48 +100,6 @@ class RemEmulator {
   double price_ = 0.0;
   double prob_ = 0.0;
   double prev_tq_ = 0.0;
-
-  friend class SentinelTestPeer;  // NaN-injection tests for the sentinel layer
-};
-
-/// init_arg payload for pert_rem_ops (the design plus the estimator gain).
-struct PertRemConfig {
-  RemEmuDesign design;
-  double srtt_alpha = 0.99;
-};
-
-/// Per-flow PERT/REM state (the module's private-state slot).
-struct PertRemState {
-  RemEmulator rem;
-  SrttEstimator estimator;
-  sim::Rng rng;
-  sim::Timer sample_timer;
-  sim::Time last_early = -1e18;
-};
-
-/// The ops table. init forks the network RNG and starts the sampling
-/// timer; same init_arg lifetime contract as cubic_ops.
-tcp::CongestionOps pert_rem_ops(const PertRemConfig& cfg);
-
-class PertRemSender final : public tcp::TcpSender {
- public:
-  PertRemSender(net::Network& net, tcp::TcpConfig cfg, net::FlowId flow,
-                RemEmuDesign design, double srtt_alpha = 0.99)
-      : tcp::TcpSender(net, std::move(cfg), flow,
-                       pert_rem_ops(PertRemConfig{design, srtt_alpha})) {}
-
-  double response_probability() const noexcept {
-    return state().rem.probability();
-  }
-  const RemEmulator& emulator() const noexcept { return state().rem; }
-
- private:
-  const PertRemState& state() const noexcept {
-    return *static_cast<const PertRemState*>(cc_priv());
-  }
-  PertRemState& state() noexcept {
-    return *static_cast<PertRemState*>(cc_priv());
-  }
 
   friend class SentinelTestPeer;  // NaN-injection tests for the sentinel layer
 };

@@ -1,5 +1,6 @@
 #include "exp/cli.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -218,7 +219,8 @@ void add_scenario_keys(cli::OptionSet& keys, CliOptions& o) {
       .opt("obs_interval", &o.cfg.obs.sample_interval,
            [ms](const std::string& v) {
              const double s = ms(v);
-             if (s <= 0) throw std::invalid_argument("must be > 0");
+             if (!(s > 0 && std::isfinite(s)))
+               throw std::invalid_argument("must be finite and > 0");
              return s;
            },
            "observability sampling cadence in milliseconds; also paces "
@@ -238,8 +240,11 @@ void add_scenario_keys(cli::OptionSet& keys, CliOptions& o) {
       .check([&o] {
         if (o.cfg.num_fwd_flows <= 0)
           throw std::invalid_argument("flows must be >= 1");
-        if (o.warmup < 0 || o.measure <= 0)
-          throw std::invalid_argument("warmup/measure out of range");
+        try {
+          require_runnable_window("pert_sim", o.warmup, o.measure);
+        } catch (const sim::ConfigError& e) {
+          throw std::invalid_argument(e.what());
+        }
         o.cfg.scheme = o.schemes.front();
         if (!o.trace_json.empty()) o.cfg.obs.trace.enabled = true;
         if (!o.metrics_json.empty()) o.cfg.obs.metrics = true;

@@ -42,9 +42,9 @@ double parse_rate(std::string_view s);
 void parse_impairment(std::string_view spec, net::ImpairmentConfig& out);
 
 /// Registers the scenario keys on `keys`, bound to `out`, with the check
-/// that the parsed scenario is runnable (flows >= 1, measure > 0, warmup
-/// >= 0). Unknown scheme names are reported with the converter's
-/// did-you-mean message.
+/// that the parsed scenario is runnable (flows >= 1, and warmup and measure
+/// pass require_runnable_window). Unknown scheme names are reported with
+/// the converter's did-you-mean message.
 void add_scenario_keys(cli::OptionSet& keys, CliOptions& out);
 
 }  // namespace pert::exp

@@ -53,6 +53,8 @@ void DumbbellConfig::validate() const {
                         pert_pi_sample_hz);
   sim::require_prob("DumbbellConfig", "nonproactive_fraction",
                     nonproactive_fraction);
+  sim::require_positive("DumbbellConfig", "obs.sample_interval",
+                        obs.sample_interval);
   sim::require_at_least("DumbbellConfig", "sim_threads", sim_threads, 0);
   if (sim_threads > 0) {
     // The parallel engine runs shards on worker threads; anything that reads
@@ -279,7 +281,7 @@ tcp::TcpSender* Dumbbell::add_flow_path(net::Node* edge_src,
   net_.add_duplex_droptail(src, edge_src, access_bps, access_delay, access_buf);
   net_.add_duplex_droptail(edge_dst, dst, access_bps, access_delay, access_buf);
 
-  auto* sink = net_.add_agent<tcp::TcpSink>(dst, kPort, net_, cfg_.tcp);
+  auto* sink = net_.add_agent<tcp::TcpSink>(dst, kPort, net_);
   if (!reverse) fwd_sinks_.push_back(sink);
 
   tcp::TcpSender* sender = make_sender(flow, force_sack);
@@ -325,6 +327,7 @@ void Dumbbell::sample_tick() {
 }
 
 WindowMetrics Dumbbell::measure_window(sim::Time warmup, sim::Time measure) {
+  require_runnable_window("Dumbbell", warmup, measure);
   maybe_start_sampler();
   net_.run_until(warmup);
   recorder_.begin(*fwd_queue_, *fwd_link_, fwd_senders_, net_.now());

@@ -111,7 +111,8 @@ class Dumbbell {
 
   explicit Dumbbell(DumbbellConfig cfg);
 
-  /// Advances to `warmup`, then measures until `warmup + measure`.
+  /// Advances to `warmup`, then measures until `warmup + measure`. Throws
+  /// sim::ConfigError unless require_runnable_window() passes.
   WindowMetrics measure_window(sim::Time warmup, sim::Time measure);
 
   net::Network& network() noexcept { return net_; }

@@ -221,7 +221,6 @@ void halve_config_times(DumbbellConfig& cfg) {
   cfg.tcp.min_rto *= 0.5;
   cfg.tcp.max_rto *= 0.5;
   cfg.tcp.initial_rto *= 0.5;
-  cfg.tcp.delack_timeout *= 0.5;
   cfg.pert.tmin_offset *= 0.5;
   cfg.pert.tmax_offset *= 0.5;
   cfg.pert.adapt_interval *= 0.5;

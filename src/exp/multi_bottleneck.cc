@@ -38,6 +38,8 @@ void MultiBottleneckConfig::validate() const {
                         0);
   sim::require_non_negative("MultiBottleneckConfig", "start_window",
                             start_window);
+  sim::require_positive("MultiBottleneckConfig", "obs.sample_interval",
+                        obs.sample_interval);
   sim::require_at_least("MultiBottleneckConfig", "sim_threads", sim_threads,
                         0);
   if (sim_threads > 0) {
@@ -143,7 +145,7 @@ MultiBottleneck::MultiBottleneck(MultiBottleneckConfig cfg)
                                cfg_.access_delay, buffer_pkts_);
       {
         net::Network::ShardCursor at_dst(net_, shard_of(dst_r));
-        net_.add_agent<tcp::TcpSink>(dst, kPort, net_, cfg_.tcp);
+        net_.add_agent<tcp::TcpSink>(dst, kPort, net_);
       }
       net::Network::ShardCursor at_src(net_, shard_of(src_r));
       cur_arena_ = arenas_[static_cast<std::size_t>(shard_of(src_r))].get();
@@ -253,6 +255,7 @@ void MultiBottleneck::sample_tick() {
 
 std::vector<HopMetrics> MultiBottleneck::measure_window(sim::Time warmup,
                                                         sim::Time measure) {
+  require_runnable_window("MultiBottleneck", warmup, measure);
   maybe_start_sampler();
   net_.run_until(warmup);
   for (std::size_t h = 0; h < hop_links_.size(); ++h)

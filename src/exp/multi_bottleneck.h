@@ -57,7 +57,8 @@ class MultiBottleneck {
   explicit MultiBottleneck(MultiBottleneckConfig cfg);
 
   /// Runs warmup then a measurement window; returns one entry per router
-  /// pair (R1-R2, ..., R5-R6).
+  /// pair (R1-R2, ..., R5-R6). Throws sim::ConfigError unless
+  /// require_runnable_window() passes.
   std::vector<HopMetrics> measure_window(sim::Time warmup, sim::Time measure);
 
   net::Network& network() noexcept { return net_; }

@@ -2,8 +2,22 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
+
+#include "sim/validate.h"
 
 namespace pert::exp {
+
+/// Throws sim::ConfigError naming `component` unless a scenario can measure
+/// [warmup, warmup + measure]: warmup finite and >= 0, and warmup + measure
+/// finite and later than warmup. NaN, inf and a measure too short to move
+/// the clock all fail.
+inline void require_runnable_window(std::string_view component, double warmup,
+                                    double measure) {
+  sim::require_non_negative(component, "warmup", warmup);
+  sim::require_greater(component, "warmup + measure", warmup + measure,
+                       warmup);
+}
 
 struct WindowMetrics {
   double duration = 0;

@@ -6,8 +6,9 @@
 //
 //   sim/        event scheduler, timers, RNG
 //   net/        packets, nodes, links, queues (DropTail / RED / PI), Network
-//   tcp/        TCP SACK/NewReno sender + sink, Vegas
-//   core/       PERT itself (srtt_0.99, response curves, PERT and PERT/PI)
+//   tcp/        TCP SACK sender + sink, Vegas, CUBIC, DCTCP
+//   core/       PERT itself (srtt_0.99, response curves, PERT, PERT/PI and
+//               PERT/REM)
 //   traffic/    web-session and CBR generators
 //   stats/      Jain index, histograms, EWMA, time-weighted averages
 //   predictors/ congestion-predictor study framework (Section 2)
@@ -20,6 +21,7 @@
 #include "core/pi_emulation.h"
 #include "core/rem_emulation.h"
 #include "core/response_curve.h"
+#include "core/sampled_pert.h"
 #include "core/srtt_estimator.h"
 #include "exp/cli.h"
 #include "exp/dumbbell.h"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -109,7 +108,7 @@ void TcpSender::receive(net::PacketPtr p) {
   }
 
   if (cfg_.ecn && p->ece) handle_ece();
-  if (cfg_.sack && p->n_sack > 0) process_sack(*p);
+  if (p->n_sack > 0) process_sack(*p);
 
   if (p->ack > snd_una_) {
     handle_new_ack(p->ack);
@@ -209,7 +208,7 @@ void TcpSender::rebuild_pipe() {
 void TcpSender::handle_new_ack(std::int64_t ack) {
   assert(ack <= next_seq_);
   const std::int64_t newly = ack - snd_una_;
-  if (in_recovery_ && (cfg_.sack || rto_recovery_)) {
+  if (in_recovery_) {
     // Everything below the cumulative ack has left the network.
     for (std::int64_t s = snd_una_; s < ack; ++s) pipe_ -= counted(flag(s));
     if (pipe_ < 0) pipe_ = 0;
@@ -227,16 +226,8 @@ void TcpSender::handle_new_ack(std::int64_t ack) {
       exit_recovery();
       return;
     }
-    if (rto_recovery_) {
-      // Post-timeout resend proceeds under normal slow start.
-      dispatch_ack(newly);
-    } else if (!cfg_.sack) {
-      // NewReno partial ack: retransmit the next hole, deflate by the
-      // amount acked, re-inflate by one for the retransmission.
-      cwnd_ = std::max(1.0, newreno_base_cwnd_ - static_cast<double>(newly) + 1.0);
-      newreno_base_cwnd_ = cwnd_;
-      send_segment(snd_una_, /*rexmit=*/true);
-    }
+    // Post-timeout resend proceeds under normal slow start.
+    if (rto_recovery_) dispatch_ack(newly);
     return;
   }
   dispatch_ack(newly);
@@ -277,10 +268,7 @@ void TcpSender::dispatch_cwnd_event(CcEvent e) {
 
 void TcpSender::handle_dupack() {
   ++dupacks_;
-  if (in_recovery_) {
-    if (!cfg_.sack && !rto_recovery_) cwnd_ += 1.0;  // NewReno inflation
-    return;  // SACK pipe is maintained by process_sack()
-  }
+  if (in_recovery_) return;  // pipe is maintained by process_sack()
   if (dupacks_ >= cfg_.dupthresh) enter_recovery();
 }
 
@@ -305,21 +293,15 @@ void TcpSender::enter_recovery() {
                      "tcp.enter_recovery", trace_id(), "cwnd", cwnd_,
                      "recovery_point", static_cast<double>(recovery_point_));
 
-  if (cfg_.sack) {
-    rebuild_pipe();
-    // try_send() (caller) retransmits holes as pipe allows; guarantee the
-    // first hole goes out immediately even if pipe >= cwnd.
-    if (pipe_ >= static_cast<std::int64_t>(cwnd_)) {
-      const std::int64_t hole = next_hole();
-      if (hole >= 0) {
-        send_segment(hole, /*rexmit=*/true);
-        ++pipe_;
-      }
+  rebuild_pipe();
+  // try_send() (caller) retransmits holes as pipe allows; guarantee the
+  // first hole goes out immediately even if pipe >= cwnd.
+  if (pipe_ >= static_cast<std::int64_t>(cwnd_)) {
+    const std::int64_t hole = next_hole();
+    if (hole >= 0) {
+      send_segment(hole, /*rexmit=*/true);
+      ++pipe_;
     }
-  } else {
-    newreno_base_cwnd_ = cwnd_;
-    send_segment(snd_una_, /*rexmit=*/true);
-    cwnd_ += static_cast<double>(dupacks_);  // inflate by dupacks seen
   }
   dispatch_cwnd_event(CcEvent::kEnterRecovery);
 }
@@ -381,13 +363,9 @@ std::int64_t TcpSender::next_hole() {
 }
 
 void TcpSender::try_send() {
-  const auto wnd = std::min(static_cast<std::int64_t>(cwnd_),
-                            static_cast<std::int64_t>(cfg_.rwnd));
-  std::int64_t burst_budget =
-      cfg_.max_burst > 0 ? cfg_.max_burst
-                         : std::numeric_limits<std::int64_t>::max();
-  if (in_recovery_ && (cfg_.sack || rto_recovery_)) {
-    while (pipe_ < wnd && burst_budget-- > 0) {
+  const auto wnd = static_cast<std::int64_t>(cwnd_);
+  if (in_recovery_) {
+    while (pipe_ < wnd) {
       const std::int64_t hole = next_hole();
       if (hole >= 0) {
         send_segment(hole, /*rexmit=*/true);
@@ -404,13 +382,7 @@ void TcpSender::try_send() {
       break;
     }
   } else {
-    // RFC 3042 limited transmit: the first two dupacks each permit one new
-    // segment beyond cwnd to keep the ACK clock alive.
-    std::int64_t wnd_eff = wnd;
-    if (cfg_.limited_transmit && !in_recovery_)
-      wnd_eff += std::min<std::int64_t>(dupacks_, 2);
-    while (next_seq_ - snd_una_ < wnd_eff && next_seq_ < app_limit_ &&
-           burst_budget-- > 0) {
+    while (next_seq_ - snd_una_ < wnd && next_seq_ < app_limit_) {
       send_segment(next_seq_, /*rexmit=*/false);
       ++next_seq_;
       sb_.push_back(0);

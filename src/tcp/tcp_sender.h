@@ -2,7 +2,7 @@
 // packets — the ns-2 model). Implements:
 //   - slow start / congestion avoidance (Reno increase),
 //   - fast retransmit + SACK-based loss recovery with ns-2 "sack1"-style
-//     pipe accounting (default), or NewReno window inflation (cfg.sack=false),
+//     pipe accounting,
 //   - retransmission timeout with exponential backoff and go-back-N resend,
 //   - ECN response (RFC 3168: one window reduction per RTT, CWR signalling),
 //   - exact per-ACK RTT via the receiver's timestamp echo.
@@ -232,9 +232,6 @@ class TcpSender : public net::Agent {
   std::int64_t lost_hwm_ = 0;           ///< lost-marking applied below this
   std::deque<std::uint8_t> sb_;         ///< scoreboard flags [snd_una, next_seq)
   std::int64_t highest_sacked_end_ = 0; ///< exclusive end of highest SACK
-
-  // NewReno (cfg_.sack == false) recovery bookkeeping.
-  double newreno_base_cwnd_ = 0;        ///< cwnd before inflation
 
   double srtt_ = -1.0;
   double rttvar_ = 0.0;

@@ -60,7 +60,7 @@ void TcpSink::receive(net::PacketPtr p) {
   if (p->is_ack) return;  // not our role
 
   ++rx_pkts_;
-  rx_bytes_ += p->size_bytes - cfg_.header_bytes;
+  rx_bytes_ += p->size_bytes - TcpConfig::header_bytes;
 
   // RFC 3168: echo ECE on every ACK from the first CE until the sender's
   // CWR arrives; a CE in the same packet as CWR re-arms the echo.
@@ -70,49 +70,24 @@ void TcpSink::receive(net::PacketPtr p) {
     ++ce_seen_;
     ece_pending_ = true;
   }
-
-  const std::int64_t before = rcv_next_;
-  const bool out_of_order = p->seq != rcv_next_;
   note_received(p->seq);
-  const bool filled_hole = rcv_next_ > before + 1;
-
-  peer_flow_ = p->flow;
-  peer_node_ = p->src;
-  peer_port_ = p->src_port;
-  last_ts_echo_ = p->ts_echo;
-  last_ts_rx_ = net_->now();
-  last_seq_ = p->seq;
-  ++unacked_;
-
-  // RFC 1122 / 5681: ack immediately for out-of-order data (dupacks drive
-  // fast retransmit), when a hole fills, on ECN-CE, or when the delayed-ACK
-  // quota is reached; otherwise arm the delack timer.
-  if (cfg_.ack_every <= 1 || out_of_order || filled_hole || ce ||
-      unacked_ >= cfg_.ack_every) {
-    send_ack();
-  } else if (!delack_timer_.pending()) {
-    delack_timer_.schedule_in(cfg_.delack_timeout);
-  }
+  send_ack(*p);
 }
 
-void TcpSink::send_ack() {
-  if (peer_node_ == net::kNoNode) return;
-  delack_timer_.cancel();
-  unacked_ = 0;
-
+void TcpSink::send_ack(const net::Packet& seg) {
   auto ack = net_->make_packet();
-  ack->flow = peer_flow_;
-  ack->dst = peer_node_;
-  ack->dst_port = peer_port_;
+  ack->flow = seg.flow;
+  ack->dst = seg.src;
+  ack->dst_port = seg.src_port;
   ack->src_port = port();
   ack->is_ack = true;
   ack->ack = rcv_next_;
-  ack->seq = last_seq_;  // which segment triggered this ack (diagnostics)
-  ack->size_bytes = cfg_.ack_bytes;
+  ack->seq = seg.seq;  // which segment triggered this ack (diagnostics)
+  ack->size_bytes = TcpConfig::ack_bytes;
   ack->ece = ece_pending_;
-  ack->ts_echo = last_ts_echo_;
-  ack->ts_rx = last_ts_rx_;
-  if (cfg_.sack) fill_sack(*ack);
+  ack->ts_echo = seg.ts_echo;
+  ack->ts_rx = net_->now();
+  fill_sack(*ack);
   ++acks_sent_;
   node()->send(std::move(ack));
 }

@@ -1,8 +1,7 @@
-// TCP receiver: acknowledges data segments (every packet by default, like
-// ns-2's Sack1 sink; RFC 1122 delayed ACKs with cfg.ack_every = 2), echoes
-// the sender timestamp for exact RTT measurement plus its own arrival clock
-// for one-way-delay measurement, generates up to three SACK blocks, and
-// implements RFC 3168 ECE echo semantics.
+// TCP receiver: acknowledges every data segment as it arrives, like ns-2's
+// Sack1 sink, echoes the sender timestamp for exact RTT measurement plus its
+// own arrival clock for one-way-delay measurement, generates up to three
+// SACK blocks, and implements RFC 3168 ECE echo semantics.
 #pragma once
 
 #include <cstdint>
@@ -12,17 +11,13 @@
 #include "net/network.h"
 #include "net/node.h"
 #include "net/packet.h"
-#include "sim/timer.h"
 #include "tcp/tcp_config.h"
 
 namespace pert::tcp {
 
 class TcpSink final : public net::Agent {
  public:
-  TcpSink(net::Network& net, TcpConfig cfg)
-      : net_(&net),
-        cfg_(cfg),
-        delack_timer_(net.sched(), [this] { send_ack(); }) {}
+  explicit TcpSink(net::Network& net) : net_(&net) {}
 
   void receive(net::PacketPtr p) override;
 
@@ -37,25 +32,16 @@ class TcpSink final : public net::Agent {
  private:
   void note_received(std::int64_t seq);
   void fill_sack(net::Packet& ack) const;
-  void send_ack();
+  /// Acks `seg`, the data segment that just arrived.
+  void send_ack(const net::Packet& seg);
 
   net::Network* net_;
-  TcpConfig cfg_;
-  sim::Timer delack_timer_;
   std::int64_t rcv_next_ = 0;
   std::int64_t rx_pkts_ = 0;
   std::int64_t rx_bytes_ = 0;
   std::int64_t acks_sent_ = 0;
   std::uint64_t ce_seen_ = 0;
   bool ece_pending_ = false;
-  // Delayed-ACK state: peer identity + timestamps from the newest segment.
-  std::int32_t unacked_ = 0;
-  net::FlowId peer_flow_ = net::kNoFlow;
-  net::NodeId peer_node_ = net::kNoNode;
-  std::int32_t peer_port_ = 0;
-  sim::Time last_ts_echo_ = sim::kNever;
-  sim::Time last_ts_rx_ = sim::kNever;
-  std::int64_t last_seq_ = 0;
 
   /// Out-of-order data above rcv_next_: disjoint ranges start -> end.
   std::map<std::int64_t, std::int64_t> ranges_;

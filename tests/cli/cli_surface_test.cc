@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -224,6 +225,81 @@ TEST(CliSurface, MalformedInputFilesAreErrorLinesNotCrashes) {
         << c.command << ":\n" << r.output;
   }
   for (const std::string& path : {report, bundle, counts})
+    std::remove(path.c_str());
+}
+
+TEST(CliSurface, PertSimRejectsWindowsThatNeverEndOrNeverAdvance) {
+  // NaN passes ordered comparisons, a measure too short to move the clock
+  // measures nothing, and an infinite window never ends (hence the
+  // timeout): each is a usage error before any simulation runs.
+  for (const char* keys :
+       {"warmup=nan", "measure=nan", "warmup=1 measure=1e-300", "measure=inf",
+        "warmup=inf", "obs_interval=nan", "obs_interval=inf"}) {
+    const Outcome r = run("timeout 60 " + tool("pert_sim") +
+                          " scheme=pert flows=5 " + keys);
+    EXPECT_EQ(r.status, 2) << keys << ":\n" << r.output;
+    EXPECT_NE(r.output.find("error: "), std::string::npos)
+        << keys << ":\n" << r.output;
+  }
+}
+
+TEST(CliSurface, FailedCellsPrintAsDashesAndTheBenchExitsOne) {
+  // Tracing is off under the parallel engine, so every cell fails: no
+  // table may show a failed cell's zeroed metrics, and the exit status
+  // must say the grid failed.
+  const std::string dir = ::testing::TempDir() + "cli_failed_cells";
+  const std::string tables = ::testing::TempDir() + "cli_failed_cells.txt";
+  for (const char* name :
+       {"bench_fig08_num_flows", "bench_fig11_multibottleneck"}) {
+    // Tables to the file, stderr to r.output.
+    const Outcome r = run("{ " + bench(name) +
+                          " --smoke --sim-threads 2 --trace-dir " + dir +
+                          " > " + tables + "; }");
+    EXPECT_EQ(r.status, 1) << name << ":\n" << r.output;
+    EXPECT_NE(r.output.find("error: "), std::string::npos)
+        << name << ":\n" << r.output;
+    std::ifstream f(tables);
+    const std::string stdout_text((std::istreambuf_iterator<char>(f)),
+                                  std::istreambuf_iterator<char>());
+    EXPECT_NE(stdout_text.find(" - "), std::string::npos)
+        << name << ":\n" << stdout_text;
+    EXPECT_EQ(stdout_text.find("0.0"), std::string::npos)
+        << name << ":\n" << stdout_text;
+  }
+  std::remove(tables.c_str());
+  std::remove(dir.c_str());  // empty: failed cells write no trace
+}
+
+TEST(CliSurface, PerfGateFailsWhenItComparesNothing) {
+  const std::string dir = ::testing::TempDir();
+  const auto baseline = [&](const std::string& name, const std::string& rows) {
+    const std::string path = dir + name;
+    std::ofstream(path, std::ios::trunc)
+        << R"({"schema": "pert-bench-baseline-v1", "benchmarks": {)" << rows
+        << "}}";
+    return path;
+  };
+  const std::string base =
+      baseline("gate_base.json",
+               R"("BM_SchedulerHold": {"ns_per_op": 10.0},)"
+               R"( "BM_DropTailEnqueue": {"ns_per_op": 20.0})");
+  const std::string no_scheduler = baseline(
+      "gate_no_scheduler.json", R"("BM_DropTailEnqueue": {"ns_per_op": 20.0})");
+  const std::string slower =
+      baseline("gate_slower.json",
+               R"("BM_SchedulerHold": {"ns_per_op": 30.0},)"
+               R"( "BM_DropTailEnqueue": {"ns_per_op": 60.0})");
+  const std::string gate = tool("perf_baseline") + " compare " + base + " ";
+
+  // A gated benchmark absent from the candidate fails like a regression.
+  Outcome r = run(gate + no_scheduler + " --only BM_Scheduler,BM_DropTail");
+  EXPECT_EQ(r.status, 3) << r.output;
+  EXPECT_NE(r.output.find("FAIL: BM_SchedulerHold"), std::string::npos)
+      << r.output;
+  // A misspelled --only selects nothing, so it cannot pass a 3x slowdown.
+  r = run(gate + slower + " --only BM_Schedulr");
+  EXPECT_EQ(r.status, 2) << r.output;
+  for (const std::string& path : {base, no_scheduler, slower})
     std::remove(path.c_str());
 }
 

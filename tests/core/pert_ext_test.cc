@@ -7,6 +7,7 @@
 
 #include "core/pert_sender.h"
 #include "core/rem_emulation.h"
+#include "core/sampled_pert.h"
 #include "net/network.h"
 #include "tcp/tcp_sink.h"
 
@@ -33,7 +34,7 @@ struct TwoWayPath {
   template <class S = PertSender, class... Extra>
   S* add(int i, net::Node* from, net::Node* to, Extra&&... extra) {
     tcp::TcpConfig cfg;
-    net.add_agent<tcp::TcpSink>(to, 40 + i, net, cfg);
+    net.add_agent<tcp::TcpSink>(to, 40 + i, net);
     auto* s = net.add_agent<S>(from, 40 + i, net, cfg, i,
                                std::forward<Extra>(extra)...);
     s->connect(to->id(), 40 + i);
@@ -85,7 +86,7 @@ TEST(PertAdaptive, PmaxDecaysWhenUncongested) {
   pp.adaptive_pmax = true;
   tcp::TcpConfig cfg;
   cfg.max_cwnd = 10;  // keep the link idle
-  p.net.add_agent<tcp::TcpSink>(p.b, 40, p.net, cfg);
+  p.net.add_agent<tcp::TcpSink>(p.b, 40, p.net);
   auto* s = p.net.add_agent<PertSender>(p.a, 40, p.net, cfg, 0, pp);
   s->connect(p.b->id(), 40);
   s->start(0.0);

@@ -29,7 +29,7 @@ struct PertPath {
 
   PertSender* add_pert(int i, PertParams pp = {}) {
     tcp::TcpConfig cfg;
-    net.add_agent<tcp::TcpSink>(b, 50 + i, net, cfg);
+    net.add_agent<tcp::TcpSink>(b, 50 + i, net);
     auto* s = net.add_agent<PertSender>(a, 50 + i, net, cfg, i, pp);
     s->connect(b->id(), 50 + i);
     return s;
@@ -37,7 +37,7 @@ struct PertPath {
 
   tcp::TcpSender* add_sack(int i) {
     tcp::TcpConfig cfg;
-    net.add_agent<tcp::TcpSink>(b, 50 + i, net, cfg);
+    net.add_agent<tcp::TcpSink>(b, 50 + i, net);
     auto* s = net.add_agent<tcp::TcpSender>(a, 50 + i, net, cfg, i);
     s->connect(b->id(), 50 + i);
     return s;
@@ -98,7 +98,7 @@ TEST(PertSender, NoEarlyResponseOnUncongestedPath) {
   PertPath p(100e6, 0.025, 6000);
   tcp::TcpConfig cfg;
   cfg.max_cwnd = 20;  // app/window-limited: queue stays empty
-  p.net.add_agent<tcp::TcpSink>(p.b, 50, p.net, cfg);
+  p.net.add_agent<tcp::TcpSink>(p.b, 50, p.net);
   auto* s = p.net.add_agent<PertSender>(p.a, 50, p.net, cfg, 0, PertParams{});
   s->connect(p.b->id(), 50);
   s->start(0.0);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/sampled_pert.h"
 #include "net/network.h"
 #include "tcp/tcp_sink.h"
 
@@ -105,7 +106,7 @@ TEST(PertPiSender, HoldsQueueNearTargetDelay) {
   std::vector<PertPiSender*> senders;
   const PiEmuDesign d = PiEmuDesign::for_path(pps, 4, 0.15, 0.005);
   for (int i = 0; i < 4; ++i) {
-    net.add_agent<tcp::TcpSink>(b, 30 + i, net, cfg);
+    net.add_agent<tcp::TcpSink>(b, 30 + i, net);
     auto* s = net.add_agent<PertPiSender>(a, 30 + i, net, cfg, i, d);
     s->connect(b->id(), 30 + i);
     s->start(i * 0.2);

@@ -12,6 +12,7 @@
 #include "core/pert_params.h"
 #include "core/pert_sender.h"
 #include "core/pi_emulation.h"
+#include "core/sampled_pert.h"
 #include "core/srtt_estimator.h"
 #include "exp/dumbbell.h"
 #include "sim/errors.h"
@@ -27,7 +28,7 @@ class SentinelTestPeer {
     s.state().estimator.add_sample(std::numeric_limits<double>::quiet_NaN());
   }
   static void poison_pi(PertPiSender& s) {
-    s.state().pi.update(std::numeric_limits<double>::quiet_NaN());
+    s.state().controller.update(std::numeric_limits<double>::quiet_NaN());
   }
 };
 

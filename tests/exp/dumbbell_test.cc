@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <string_view>
 
 #include "scheme_param.h"
+#include "sim/errors.h"
 
 namespace pert::exp {
 namespace {
@@ -169,6 +171,13 @@ TEST(Dumbbell, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
   EXPECT_DOUBLE_EQ(a.avg_queue_pkts, b.avg_queue_pkts);
   EXPECT_EQ(a.drops, b.drops);
+}
+
+TEST(Dumbbell, MeasureWindowRejectsANaNMeasure) {
+  // NaN passes every ordered comparison; only an explicit check stops it.
+  Dumbbell d(small("pert"));
+  EXPECT_THROW(d.measure_window(0, std::numeric_limits<double>::quiet_NaN()),
+               sim::ConfigError);
 }
 
 }  // namespace

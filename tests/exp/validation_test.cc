@@ -41,7 +41,7 @@ TEST(DumbbellValidate, RejectsBadDimensions) {
 
 TEST(DumbbellValidate, NestedConfigsChecked) {
   DumbbellConfig c;
-  c.tcp.dupthresh = 0;
+  c.tcp.initial_cwnd = 0.0;
   EXPECT_THROW(c.validate(), sim::ConfigError);
   c = {};
   c.pert.pmax = 2.0;
@@ -81,7 +81,7 @@ TEST(MultiBottleneckValidate, RejectsBadDimensions) {
 
 TEST(MultiBottleneckValidate, NestedConfigsChecked) {
   MultiBottleneckConfig c;
-  c.tcp.ack_every = 0;
+  c.tcp.min_rto = -1.0;
   EXPECT_THROW(c.validate(), sim::ConfigError);
   c = {};
   c.pert.early_beta = 1.0;

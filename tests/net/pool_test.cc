@@ -149,7 +149,7 @@ TEST(PacketPool, SteadyStateDumbbellAllocatesZeroPackets) {
   net.compute_routes();
   tcp::TcpConfig cfg;
   for (int i = 0; i < 4; ++i) {
-    net.add_agent<tcp::TcpSink>(rhs, 10 + i, net, cfg);
+    net.add_agent<tcp::TcpSink>(rhs, 10 + i, net);
     auto* s = net.add_agent<tcp::TcpSender>(lhs, 10 + i, net, cfg, i);
     s->connect(rhs->id(), 10 + i);
     s->start(0.0);

@@ -102,7 +102,7 @@ TEST(Dctcp, RespondsToMarkingAqmEndToEnd) {
   net.compute_routes();
   TcpConfig cfg;
   cfg.ecn = true;
-  net.add_agent<TcpSink>(b, 10, net, cfg);
+  net.add_agent<TcpSink>(b, 10, net);
   auto* s = net.add_agent<DctcpSender>(a, 10, net, cfg, 0);
   s->connect(b->id(), 10);
   s->start(0.0);

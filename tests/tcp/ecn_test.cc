@@ -32,7 +32,7 @@ TEST(Ecn, SenderRespondsToMarksWithoutLosses) {
   // Avoid the initial slow-start overshoot outrunning the sluggish RED
   // average (which would cause forced drops before any mark).
   cfg.initial_ssthresh = 20;
-  net.add_agent<TcpSink>(b, 5, net, cfg);
+  net.add_agent<TcpSink>(b, 5, net);
   auto* s = net.add_agent<TcpSender>(a, 5, net, cfg, 0);
   s->connect(b->id(), 5);
   s->start(0.0);
@@ -65,7 +65,7 @@ TEST(Ecn, AtMostOneResponsePerWindow) {
   net.compute_routes();
   TcpConfig cfg;
   cfg.ecn = true;
-  net.add_agent<TcpSink>(b, 5, net, cfg);
+  net.add_agent<TcpSink>(b, 5, net);
   auto* s = net.add_agent<TcpSender>(a, 5, net, cfg, 0);
   s->connect(b->id(), 5);
   s->start(0.0);
@@ -98,7 +98,7 @@ TEST(Ecn, NonEcnSenderGetsDropsFromEcnQueue) {
   net.compute_routes();
   TcpConfig cfg;
   cfg.ecn = false;  // not ECN-capable: RED must drop instead of mark
-  net.add_agent<TcpSink>(b, 5, net, cfg);
+  net.add_agent<TcpSink>(b, 5, net);
   auto* s = net.add_agent<TcpSender>(a, 5, net, cfg, 0);
   s->connect(b->id(), 5);
   s->start(0.0);

@@ -25,8 +25,7 @@ struct LossyPath {
   TcpSender* sender = nullptr;
   std::vector<std::int64_t> sent_log;  ///< every data seq offered to the link
 
-  explicit LossyPath(net::FaultInjectionQueue::DropFn drop,
-                     TcpConfig cfg = {}) {
+  explicit LossyPath(net::FaultInjectionQueue::DropFn drop) {
     a = net.add_node();
     b = net.add_node();
     auto inner = std::make_unique<net::DropTailQueue>(net.sched(), 1000);
@@ -37,8 +36,8 @@ struct LossyPath {
     net.add_link(b, a, 10e6, 0.01,
                  std::make_unique<net::DropTailQueue>(net.sched(), 10000));
     net.compute_routes();
-    sink = net.add_agent<TcpSink>(b, 1, net, cfg);
-    sender = net.add_agent<TcpSender>(a, 1, net, cfg, 0);
+    sink = net.add_agent<TcpSink>(b, 1, net);
+    sender = net.add_agent<TcpSender>(a, 1, net, TcpConfig{}, 0);
     sender->connect(b->id(), 1);
   }
 };
@@ -131,7 +130,7 @@ TEST(RecoveryWhitebox, LostAcksAreHarmlessWithCumulativeAcking) {
   net.add_link(b, a, 10e6, 0.01, std::move(fault));
   net.compute_routes();
   TcpConfig cfg;
-  auto* sink = net.add_agent<TcpSink>(b, 1, net, cfg);
+  auto* sink = net.add_agent<TcpSink>(b, 1, net);
   auto* sender = net.add_agent<TcpSender>(a, 1, net, cfg, 0);
   sender->connect(b->id(), 1);
   bool done = false;
@@ -140,18 +139,6 @@ TEST(RecoveryWhitebox, LostAcksAreHarmlessWithCumulativeAcking) {
   net.run_until(30.0);
   ASSERT_TRUE(done);
   EXPECT_EQ(sink->total_rx_pkts(), 500);  // no duplicates at the receiver
-}
-
-TEST(RecoveryWhitebox, NewRenoHandlesScatteredLossesToo) {
-  TcpConfig cfg;
-  cfg.sack = false;
-  LossyPath p(drop_first_tx({15, 30, 31}), cfg);
-  bool done = false;
-  p.sender->on_transfer_complete = [&] { done = true; };
-  p.sender->start_transfer(150);
-  p.net.run_until(30.0);
-  ASSERT_TRUE(done);
-  EXPECT_EQ(p.sink->rcv_next(), 150);
 }
 
 class RandomLossReliability : public ::testing::TestWithParam<std::uint64_t> {

@@ -23,13 +23,13 @@ struct SinkHarness {
   AckCapture* cap;
   TcpSink* sink;
 
-  explicit SinkHarness(TcpConfig cfg = {}) {
+  SinkHarness() {
     sender_node = net.add_node();
     sink_node = net.add_node();
     net.add_duplex_droptail(sender_node, sink_node, 1e9, 0.001, 1000);
     net.compute_routes();
     cap = net.add_agent<AckCapture>(sender_node, 7);
-    sink = net.add_agent<TcpSink>(sink_node, 9, net, cfg);
+    sink = net.add_agent<TcpSink>(sink_node, 9, net);
   }
 
   void deliver(std::int64_t seq, net::Ecn ecn = net::Ecn::NotEct,
@@ -119,9 +119,7 @@ TEST(Sink, DuplicateDataIgnoredInCounting) {
 }
 
 TEST(Sink, EceEchoedUntilCwr) {
-  TcpConfig cfg;
-  cfg.ecn = true;
-  SinkHarness h(cfg);
+  SinkHarness h;
   h.deliver(0, net::Ecn::Ce);  // congestion experienced
   h.deliver(1, net::Ecn::Ect0);
   h.deliver(2, net::Ecn::Ect0);
@@ -135,9 +133,7 @@ TEST(Sink, EceEchoedUntilCwr) {
 }
 
 TEST(Sink, CeWithCwrReArmsEcho) {
-  TcpConfig cfg;
-  cfg.ecn = true;
-  SinkHarness h(cfg);
+  SinkHarness h;
   h.deliver(0, net::Ecn::Ce);
   h.deliver(1, net::Ecn::Ce, /*cwr=*/true);  // reduce + new congestion
   EXPECT_TRUE(h.cap->acks[1].ece);
@@ -151,9 +147,7 @@ TEST(Sink, TimestampEchoedBack) {
 }
 
 TEST(Sink, CeCountsTracked) {
-  TcpConfig cfg;
-  cfg.ecn = true;
-  SinkHarness h(cfg);
+  SinkHarness h;
   h.deliver(0, net::Ecn::Ce);
   h.deliver(1, net::Ecn::Ect0);
   h.deliver(2, net::Ecn::Ce);

@@ -121,7 +121,7 @@ TEST(TcpBasic, TwoFlowsShareFairly) {
   TcpConfig cfg;
   std::vector<TcpSender*> senders;
   for (int i = 0; i < 2; ++i) {
-    net.add_agent<TcpSink>(b, 10 + i, net, cfg);
+    net.add_agent<TcpSink>(b, 10 + i, net);
     auto* s = net.add_agent<TcpSender>(a, 10 + i, net, cfg, i);
     s->connect(b->id(), 10 + i);
     s->start(i * 0.1);

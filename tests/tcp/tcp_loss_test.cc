@@ -73,20 +73,6 @@ TEST(TcpLoss, SackRetransmitsOnlyHoles) {
                 s->flow_stats().loss_events);
 }
 
-TEST(TcpLoss, NewRenoModeAlsoRecovers) {
-  Path p = small_buffer();
-  TcpConfig cfg;
-  cfg.sack = false;
-  auto* s = p.make_sender(cfg);
-  bool done = false;
-  s->on_transfer_complete = [&] { done = true; };
-  s->start_transfer(3000);
-  p.net.run_until(60.0);
-  EXPECT_TRUE(done);
-  EXPECT_EQ(p.sink->rcv_next(), 3000);
-  EXPECT_GT(s->flow_stats().loss_events, 0);
-}
-
 TEST(TcpLoss, RtoFiresOnTotalBlackhole) {
   // Queue of 1 packet at a slow link with a window burst: drops everything
   // beyond the first packet. More robust: kill the route after start.

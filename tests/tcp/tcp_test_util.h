@@ -34,7 +34,7 @@ struct Path {
   template <class SenderT = TcpSender, class... Extra>
   SenderT* make_sender(TcpConfig cfg = {}, net::FlowId flow = 0,
                        Extra&&... extra) {
-    sink = net.add_agent<TcpSink>(b, 100 + flow, net, cfg);
+    sink = net.add_agent<TcpSink>(b, 100 + flow, net);
     auto* s = net.add_agent<SenderT>(a, 100 + flow, net, cfg, flow,
                                      std::forward<Extra>(extra)...);
     s->connect(b->id(), 100 + flow);

@@ -91,7 +91,7 @@ TEST(Vegas, LaterFlowSeesInflatedBaseRtt) {
   TcpConfig cfg;
   std::vector<VegasSender*> senders;
   for (int i = 0; i < 2; ++i) {
-    net.add_agent<TcpSink>(b, 10 + i, net, cfg);
+    net.add_agent<TcpSink>(b, 10 + i, net);
     auto* s = net.add_agent<VegasSender>(a, 10 + i, net, cfg, i);
     s->connect(b->id(), 10 + i);
     senders.push_back(s);

@@ -22,7 +22,7 @@ struct WebHarness {
     net.add_duplex_droptail(a, b, 100e6, 0.005, 10000);
     net.compute_routes();
     tcp::TcpConfig cfg;
-    net.add_agent<tcp::TcpSink>(b, 3, net, cfg);
+    net.add_agent<tcp::TcpSink>(b, 3, net);
     sender = net.add_agent<tcp::TcpSender>(a, 3, net, cfg, 0);
     sender->connect(b->id(), 3);
   }

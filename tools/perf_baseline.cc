@@ -17,10 +17,13 @@
 // by taking the per-benchmark median ns/op — the standard defense against a
 // single noisy run when a comparison is meant to gate.
 //
-// compare prints a per-benchmark table of ns/op deltas and exits 0 when no
-// shared benchmark slowed down by more than P percent (default 15), or 3 when
-// at least one did. --only restricts the comparison to benchmarks whose name
-// starts with one of the given prefixes. CI runs compare twice: a gating
+// compare prints a per-benchmark table of ns/op deltas for the baseline's
+// benchmarks and exits 0 when every one of them is in the candidate and none
+// slowed down by more than P percent (default 15), or 3 when one slowed down
+// or is missing from the candidate (the summary names it). --only restricts
+// the comparison to baseline benchmarks whose name starts with one of the
+// given prefixes; an --only that selects none exits 2, since a gate that
+// compares nothing would pass anything. CI runs compare twice: a gating
 // median-of-3 pass over the stable scheduler/queue micro-benches (allocation-
 // free inner loops, low run-to-run variance) and a non-gating pass over
 // everything else (end-to-end benches swing with runner hardware); see
@@ -200,14 +203,18 @@ int compare(const std::string& base_path, const std::string& cand_path,
     std::cerr << "perf_baseline: inputs are not baseline files\n";
     return 2;
   }
-  int regressions = 0;
+  int regressions = 0, selected = 0;
+  std::vector<std::string> missing;
   std::printf("%-34s %12s %12s %8s\n", "benchmark", "base ns/op", "cand ns/op",
               "delta");
   for (const auto& [name, row] : bt->as_object()) {
     if (!matches_only(name, only)) continue;
+    ++selected;
     const JsonValue* crow = ct->find(name);
     if (!crow) {
-      std::printf("%-34s %12s %12s %8s\n", name.c_str(), "-", "missing", "");
+      std::printf("%-34s %12s %12s %8s  <-- MISSING\n", name.c_str(), "-",
+                  "missing", "");
+      missing.push_back(name);
       continue;
     }
     const double b = row.at("ns_per_op").as_double();
@@ -222,12 +229,23 @@ int compare(const std::string& base_path, const std::string& cand_path,
     if (matches_only(name, only) && !bt->find(name))
       std::printf("%-34s %12s %12.1f %8s\n", name.c_str(), "new",
                   row.at("ns_per_op").as_double(), "");
-  if (regressions > 0) {
+  if (selected == 0) {
+    std::cerr << "perf_baseline: --only '" << only
+              << "' selects no benchmark of " << base_path << "\n";
+    return 2;
+  }
+  for (const std::string& name : missing)
+    std::printf("\nFAIL: %s is in the baseline but not in the candidate.",
+                name.c_str());
+  if (regressions > 0)
     std::printf(
         "\nWARNING: %d benchmark(s) slower than baseline by more than "
-        "%.0f%%.\nIf intentional, re-record with tools/perf_baseline "
-        "(docs/performance.md).\n",
+        "%.0f%%.",
         regressions, warn_pct);
+  if (regressions > 0 || !missing.empty()) {
+    std::printf(
+        "\nIf intentional, re-record with tools/perf_baseline "
+        "(docs/performance.md).\n");
     return 3;
   }
   std::printf("\nOK: no benchmark regressed by more than %.0f%%.\n", warn_pct);
