@@ -11,11 +11,15 @@ namespace pert::core {
 
 namespace {
 
-tcp::TcpSender* make_pert(const tcp::CcContext& ctx) {
+/// The builder's PERT knobs, or the defaults when it carries none.
+PertParams pert_params(const tcp::CcContext& ctx) {
   const auto* pp = static_cast<const PertParams*>(ctx.pert_params);
+  return pp != nullptr ? *pp : PertParams{};
+}
+
+tcp::TcpSender* make_pert(const tcp::CcContext& ctx) {
   return ctx.net->add_agent<PertSender>(nullptr, 0, *ctx.net, ctx.tcp,
-                                        ctx.flow,
-                                        pp != nullptr ? *pp : PertParams{});
+                                        ctx.flow, pert_params(ctx));
 }
 
 tcp::TcpSender* make_pert_pi(const tcp::CcContext& ctx) {
@@ -23,14 +27,13 @@ tcp::TcpSender* make_pert_pi(const tcp::CcContext& ctx) {
       PiEmuDesign::for_path(ctx.pps, std::max(1.0, ctx.n_flows), ctx.rtt_max,
                             ctx.target_delay, ctx.sample_hz, ctx.gain_boost);
   return ctx.net->add_agent<PertPiSender>(nullptr, 0, *ctx.net, ctx.tcp,
-                                          ctx.flow, d);
+                                          ctx.flow, d, pert_params(ctx));
 }
 
 tcp::TcpSender* make_pert_rem(const tcp::CcContext& ctx) {
-  const RemEmuDesign d =
-      RemEmuDesign::for_path(ctx.pps, 0.001, ctx.target_delay);
+  const RemEmuDesign d = RemEmuDesign::for_path(ctx.pps, ctx.target_delay);
   return ctx.net->add_agent<PertRemSender>(nullptr, 0, *ctx.net, ctx.tcp,
-                                           ctx.flow, d);
+                                           ctx.flow, d, pert_params(ctx));
 }
 
 }  // namespace

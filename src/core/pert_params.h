@@ -5,7 +5,23 @@
 
 namespace pert::core {
 
-struct PertParams {
+/// What PERT's early response reads (core::early_response). Every PERT
+/// sender (pert, pert-pi, pert-rem) keeps its own copy per flow.
+struct EarlyResponseParams {
+  /// Early-response multiplicative decrease: cwnd *= (1 - early_beta).
+  /// 0.35 keeps the bottleneck queue below half of one BDP (eq. (1)).
+  double early_beta = 0.35;
+  /// Limit proactive reductions to one per RTT (the impact of a response is
+  /// not visible earlier).
+  bool limit_once_per_rtt = true;
+  /// Skip early response while the window is at/below this floor; tiny
+  /// windows cannot meaningfully back off and only lose their ACK clock.
+  double min_cwnd_for_response = 2.0;
+};
+
+/// pert-pi and pert-rem read srtt_alpha and the early-response knobs; the
+/// response curve and the Section 7 extensions are pert's alone.
+struct PertParams : EarlyResponseParams {
   /// History weight of the smoothed-RTT congestion signal (srtt_0.99).
   double srtt_alpha = 0.99;
   /// Queueing-delay thresholds of the emulated gentle-RED curve, relative to
@@ -18,15 +34,6 @@ struct PertParams {
   /// Emulate *gentle* RED: probability ramps p_max -> 1 on [T_max, 2*T_max]
   /// (measured as queueing delay). Non-gentle responds with 1 past T_max.
   bool gentle = true;
-  /// Early-response multiplicative decrease: cwnd *= (1 - early_beta).
-  /// 0.35 keeps the bottleneck queue below half of one BDP (eq. (1)).
-  double early_beta = 0.35;
-  /// Limit proactive reductions to one per RTT (the impact of a response is
-  /// not visible earlier).
-  bool limit_once_per_rtt = true;
-  /// Skip early response while the window is at/below this floor; tiny
-  /// windows cannot meaningfully back off and only lose their ACK clock.
-  double min_cwnd_for_response = 2.0;
 
   // --- Section 7 extensions (off by default = the paper's scheme) ---
   /// Drive the signal with one-way forward delays instead of RTT, making
@@ -41,7 +48,7 @@ struct PertParams {
   double adapt_interval = 0.5;  ///< seconds between pmax adjustments
 
   /// Rejects out-of-domain parameters with sim::ConfigError. Called by
-  /// PertSender at construction; an inverted [T_min, T_max] band or a
+  /// every PERT sender at construction; an inverted [T_min, T_max] band or a
   /// probability outside [0, 1] must never reach the response curve.
   void validate() const {
     sim::require_in("PertParams", "srtt_alpha", srtt_alpha, 0.0, 1.0);

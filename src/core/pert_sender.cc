@@ -29,7 +29,7 @@ void pert_init(tcp::CcHost& h, void* priv) {
   } else {
     s->last_early = &s->last_early_inline;
   }
-  *s->last_early = PertState::kNeverEarly;  // arena lanes start at 0.0
+  *s->last_early = kNeverEarly;  // arena lanes start at 0.0
 }
 
 void pert_release(void* priv) { st(priv).~PertState(); }
@@ -82,16 +82,7 @@ void maybe_early_response(tcp::CcHost& h, PertState& s, double rtt) {
     tr->instant(h.now(), obs::Category::kPert, obs::Severity::kDebug,
                 "pert.draw", h.trace_id(), "p", p, "respond",
                 respond ? 1.0 : 0.0);
-  if (!respond) return;
-  // The effect of a reduction is not visible for one RTT; never respond
-  // proactively while loss recovery is already reducing the window, and
-  // keep the ACK clock alive at tiny windows.
-  if (h.in_recovery()) return;
-  if (h.cwnd() <= s.params.min_cwnd_for_response) return;
-  if (s.params.limit_once_per_rtt && h.now() - *s.last_early < rtt) return;
-  h.multiplicative_decrease(s.params.early_beta);
-  *s.last_early = h.now();
-  h.note_early_response();
+  if (!respond || !early_response(h, s.params, *s.last_early, rtt)) return;
   if (tr && tr->wants(obs::Category::kPert, obs::Severity::kInfo))
     tr->instant(h.now(), obs::Category::kPert, obs::Severity::kInfo,
                 "pert.early_response", h.trace_id(), "p", p, "cwnd",
@@ -121,6 +112,20 @@ std::string pert_invariants(const tcp::TcpSender& /*sender*/,
 }
 
 }  // namespace
+
+bool early_response(tcp::CcHost& h, const EarlyResponseParams& e,
+                    sim::Time& last_early, double rtt) {
+  // The effect of a reduction is not visible for one RTT; never respond
+  // proactively while loss recovery is already reducing the window, and
+  // keep the ACK clock alive at tiny windows.
+  if (h.in_recovery()) return false;
+  if (h.cwnd() <= e.min_cwnd_for_response) return false;
+  if (e.limit_once_per_rtt && h.now() - last_early < rtt) return false;
+  h.multiplicative_decrease(e.early_beta);
+  last_early = h.now();
+  h.note_early_response();
+  return true;
+}
 
 tcp::CongestionOps pert_ops(const PertParams& params) {
   tcp::CongestionOps ops;

@@ -19,12 +19,20 @@
 
 namespace pert::core {
 
+/// "Never responded yet": far enough in the past that the once-per-RTT
+/// guard passes on the first opportunity.
+inline constexpr sim::Time kNeverEarly = -1e18;
+
+/// PERT's early response, run by every PERT sender when its response draw
+/// fires: cuts the window by early_beta unless loss recovery is already
+/// reducing it, the window is at min_cwnd_for_response or below, or
+/// (limit_once_per_rtt) the last early response is less than `rtt` ago.
+/// Stamps `last_early` and returns true when it cut.
+bool early_response(tcp::CcHost& h, const EarlyResponseParams& e,
+                    sim::Time& last_early, double rtt);
+
 /// Per-flow PERT state (the module's private-state slot).
 struct PertState {
-  /// "Never responded yet": far enough in the past that the once-per-RTT
-  /// guard passes on the first opportunity.
-  static constexpr sim::Time kNeverEarly = -1e18;
-
   PertParams params;
   SrttEstimator estimator;
   ResponseCurve curve;

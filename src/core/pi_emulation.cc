@@ -16,15 +16,14 @@ PiEmuDesign PiEmuDesign::for_path(double capacity_pps, double n_min,
   PiEmuDesign d;
   d.tq_ref = tq_ref;
   d.sample_interval = 1.0 / sample_hz;
-  // Theorem 2 (eq. (21)): zero of the controller at the TCP window pole.
-  const double m = 2.0 * n_min / (rtt_max * rtt_max * capacity_pps);
-  // Delay-based loop gain carries C^2 (not C^3 as in router TCP/PI).
-  const double gain = std::pow(rtt_max, 3) * capacity_pps * capacity_pps /
-                      (4.0 * n_min * n_min);
-  const double k =
-      gain_boost * m * std::sqrt(rtt_max * rtt_max * m * m + 1.0) / gain;
-  d.a = k / m + k * d.sample_interval / 2.0;
-  d.b = k / m - k * d.sample_interval / 2.0;
+  // Theorem 2 (eq. (21)): the delay-based loop gain carries C^2, not C^3 as
+  // in router TCP/PI.
+  const double loop_gain = std::pow(rtt_max, 3) * capacity_pps *
+                           capacity_pps / (4.0 * n_min * n_min);
+  const net::PiCoefficients c = net::PiCoefficients::design(
+      capacity_pps, n_min, rtt_max, loop_gain, d.sample_interval, gain_boost);
+  d.a = c.a;
+  d.b = c.b;
   return d;
 }
 

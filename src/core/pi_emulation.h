@@ -1,7 +1,7 @@
 // PERT/PI: emulating the PI AQM controller from end hosts (Section 6).
 //
-// The response probability is produced by a discretized PI controller on the
-// estimated queueing delay:
+// The response probability is the router's PI law (net::PiLaw) run on the
+// estimated queueing delay instead of the queue length:
 //
 //   p(k) = p(k-1) + a * (Tq(k) - Tq_ref) - b * (Tq(k-1) - Tq_ref),
 //
@@ -14,13 +14,13 @@
 // K and m follow Theorem 2: because the controller acts on queueing *delay*,
 // the loop gain carries C^2 where the router-based TCP/PI design has C^3 —
 // equivalently, the delay-based coefficients are the router coefficients
-// multiplied by the link capacity (what Section 6.1 does).
+// multiplied by the link capacity (what Section 6.1 does). Both designs run
+// net::PiCoefficients::design; only the loop gain differs.
 #pragma once
 
-#include <algorithm>
 #include <string>
 
-#include "sim/sentinel.h"
+#include "net/pi_queue.h"
 #include "sim/validate.h"
 
 namespace pert::core {
@@ -30,7 +30,6 @@ struct PiEmuDesign {
   double b = 0.0;              ///< coefficient on the previous delay error
   double tq_ref = 0.003;       ///< target queueing delay (3 ms in the paper)
   double sample_interval = 1.0 / 170.0;
-  double early_beta = 0.35;    ///< early-response multiplicative decrease
 
   /// Theorem 2 design: capacity in packets/second, lower bound on flows,
   /// upper bound on RTT. `gain_boost` scales K above the conservative
@@ -51,53 +50,29 @@ struct PiEmuDesign {
     sim::require_less("PiEmuDesign", "b", b, "a", a);
     sim::require_positive("PiEmuDesign", "tq_ref", tq_ref);
     sim::require_positive("PiEmuDesign", "sample_interval", sample_interval);
-    sim::require_prob("PiEmuDesign", "early_beta", early_beta);
-    sim::require_less("PiEmuDesign", "early_beta", early_beta, "1", 1.0);
   }
 };
 
-/// The controller itself, reusable outside the sender (tests, fluid checks).
-/// PertPiSender (core/sampled_pert.h) runs it under the names below.
-class PiEmulator {
+/// The controller PertPiSender (core/sampled_pert.h) runs under the names
+/// below: net::PiLaw fed queueing delay every sample_interval().
+class PiEmulator : public net::PiLaw {
  public:
   using Design = PiEmuDesign;
   static constexpr const char* kCcName = "pert-pi";
-  static constexpr const char* kComponent = "PertPiSender";
   static constexpr const char* kProbSeries = "pert_pi.prob";
   static constexpr const char* kTqSeries = "pert_pi.tq";
 
-  explicit PiEmulator(const PiEmuDesign& d) : d_(d) {}
+  explicit PiEmulator(const PiEmuDesign& d)
+      : net::PiLaw(d.a, d.b, d.tq_ref), sample_interval_(d.sample_interval) {}
 
-  /// Feeds one queueing-delay sample; returns the updated probability.
-  double update(double tq) {
-    prob_ += d_.a * (tq - d_.tq_ref) - d_.b * (prev_tq_ - d_.tq_ref);
-    prob_ = std::clamp(prob_, 0.0, 1.0);
-    prev_tq_ = tq;
-    return prob_;
-  }
+  double sample_interval() const noexcept { return sample_interval_; }
 
-  double probability() const noexcept { return prob_; }
-  const PiEmuDesign& design() const noexcept { return d_; }
-
-  /// Numeric sentinel: the integrator must hold a probability (a NaN delay
-  /// sample slips through std::clamp — NaN compares false — and then feeds
-  /// back through prob_ forever). "" while healthy.
   std::string numeric_violation() const {
-    if (std::string v = sim::bounded_violation("pert_pi.prob", prob_, 0.0, 1.0);
-        !v.empty())
-      return v;
-    if (std::string v = sim::finite_violation("pert_pi.prev_tq", prev_tq_);
-        !v.empty())
-      return v;
-    return {};
+    return net::PiLaw::numeric_violation("pert_pi.prob", "pert_pi.prev_tq");
   }
 
  private:
-  PiEmuDesign d_;
-  double prob_ = 0.0;
-  double prev_tq_ = 0.0;
-
-  friend class SentinelTestPeer;  // NaN-injection tests for the sentinel layer
+  double sample_interval_;
 };
 
 }  // namespace pert::core

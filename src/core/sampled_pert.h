@@ -3,11 +3,11 @@
 //
 // Both are PERT with another source for the response probability: a
 // per-flow timer feeds the srtt_0.99 queueing-delay estimate to the
-// controller every design().sample_interval, and each RTT sample draws
-// PERT's early response with the controller's current probability. A
-// controller (PiEmulator, RemEmulator) provides `Design`, update(tq),
-// probability(), design(), numeric_violation() and four names: kCcName
-// (registry key), kComponent (named by its config errors) and
+// controller every sample_interval(), and each RTT sample draws PERT's
+// early response (core::early_response, with the flow's PertParams) at the
+// controller's current probability. A controller (PiEmulator, RemEmulator)
+// provides `Design`, update(tq), probability(), sample_interval(),
+// numeric_violation() and three names: kCcName (registry key) and
 // kProbSeries/kTqSeries (its trace counters).
 #pragma once
 
@@ -15,6 +15,8 @@
 #include <string>
 #include <utility>
 
+#include "core/pert_params.h"
+#include "core/pert_sender.h"
 #include "core/pi_emulation.h"
 #include "core/rem_emulation.h"
 #include "core/srtt_estimator.h"
@@ -29,10 +31,11 @@ namespace pert::core {
 template <class Controller>
 class SampledPertSender final : public tcp::TcpSender {
  public:
-  /// init_arg payload for ops() (the design plus the estimator gain).
+  /// init_arg payload for ops(): the design plus the PERT knobs the module
+  /// reads (srtt_alpha and the early response).
   struct Config {
     typename Controller::Design design;
-    double srtt_alpha = 0.99;
+    PertParams pert;
   };
 
   /// Per-flow state (the module's private-state slot).
@@ -41,14 +44,14 @@ class SampledPertSender final : public tcp::TcpSender {
     SrttEstimator estimator;
     sim::Rng rng;
     sim::Timer sample_timer;
-    sim::Time last_early = -1e18;
+    EarlyResponseParams early;
+    sim::Time last_early = kNeverEarly;
   };
 
   SampledPertSender(net::Network& net, tcp::TcpConfig cfg, net::FlowId flow,
                     typename Controller::Design design,
-                    double srtt_alpha = 0.99)
-      : tcp::TcpSender(net, std::move(cfg), flow,
-                       ops(Config{design, srtt_alpha})) {}
+                    const PertParams& pert = {})
+      : tcp::TcpSender(net, std::move(cfg), flow, ops(Config{design, pert})) {}
 
   double response_probability() const noexcept {
     return state().controller.probability();
@@ -88,7 +91,7 @@ class SampledPertSender final : public tcp::TcpSender {
                     s.estimator.queueing_delay());
       }
     }
-    s.sample_timer.schedule_in(s.controller.design().sample_interval);
+    s.sample_timer.schedule_in(s.controller.sample_interval());
   }
 
   static void init(tcp::CcHost& h, void* priv) {
@@ -97,15 +100,13 @@ class SampledPertSender final : public tcp::TcpSender {
     // Brace-init evaluates left to right, reproducing the legacy member
     // order: controller, estimator, RNG fork, then the timer.
     auto* s = new (priv) State{
-        Controller(cfg.design), SrttEstimator(cfg.srtt_alpha),
+        Controller(cfg.design), SrttEstimator(cfg.pert.srtt_alpha),
         h.net().rng().fork(),
         sim::Timer(h.net().sched(),
-                   [sender, priv] { tick(*sender, st(priv)); })};
+                   [sender, priv] { tick(*sender, st(priv)); }),
+        cfg.pert};
     cfg.design.validate();
-    sim::require_in(Controller::kComponent, "srtt_alpha", cfg.srtt_alpha,
-                    0.0, 1.0);
-    sim::require_less(Controller::kComponent, "srtt_alpha", cfg.srtt_alpha,
-                      "1", 1.0);
+    cfg.pert.validate();
     if (h.arena_slot() >= 0) {
       tcp::FlowArena& a = *h.arena();
       s->estimator.bind(&a.srtt99(h.arena_slot()), &a.min_rtt(h.arena_slot()),
@@ -118,12 +119,8 @@ class SampledPertSender final : public tcp::TcpSender {
     State& s = st(priv);
     s.estimator.add_sample(rtt);
     const double p = s.controller.probability();
-    if (p <= 0.0 || !s.rng.bernoulli(p)) return;
-    if (h.in_recovery() || h.cwnd() <= 2.0) return;
-    if (h.now() - s.last_early < rtt) return;  // once per RTT
-    h.multiplicative_decrease(s.controller.design().early_beta);
-    s.last_early = h.now();
-    h.note_early_response();
+    if (p > 0.0 && s.rng.bernoulli(p))
+      early_response(h, s.early, s.last_early, rtt);
   }
 
   static std::string invariants(const tcp::TcpSender& /*sender*/,

@@ -14,24 +14,14 @@ namespace pert::exp {
 
 namespace {
 constexpr std::int32_t kPort = 1;
+/// Access links run at this multiple of the bottleneck rate.
+constexpr double kAccessMultiplier = 4.0;
 }
 
 void DumbbellConfig::validate() const {
   // Resolve both scheme names up front so a typo'd combination fails here,
   // before any node is built, with the registries' did-you-mean hint.
-  ensure_scheme_modules();
-  if (tcp::CcRegistry::instance().find(scheme.cc) == nullptr ||
-      net::QdiscRegistry::instance().find(scheme.qdisc) == nullptr) {
-    std::string msg = "DumbbellConfig: unknown scheme '" + scheme.cc + "/" +
-                      scheme.qdisc + "'";
-    if (const std::string s =
-            tcp::CcRegistry::instance().find(scheme.cc) == nullptr
-                ? tcp::CcRegistry::instance().suggestion_for(scheme.cc)
-                : net::QdiscRegistry::instance().suggestion_for(scheme.qdisc);
-        !s.empty())
-      msg += " (did you mean '" + s + "'?)";
-    throw sim::ConfigError(msg, "component=DumbbellConfig param=scheme\n");
-  }
+  require_registered(scheme, "DumbbellConfig");
   sim::require_positive("DumbbellConfig", "bottleneck_bps", bottleneck_bps);
   sim::require_positive("DumbbellConfig", "rtt", rtt);
   for (double r : flow_rtts)
@@ -41,8 +31,6 @@ void DumbbellConfig::validate() const {
   sim::require_at_least("DumbbellConfig", "num_web_sessions", num_web_sessions,
                         0);
   sim::require_at_least("DumbbellConfig", "buffer_pkts", buffer_pkts, 0);
-  sim::require_positive("DumbbellConfig", "access_multiplier",
-                        access_multiplier);
   sim::require_non_negative("DumbbellConfig", "start_window", start_window);
   sim::require_non_negative("DumbbellConfig", "start_offset", start_offset);
   sim::require_at_least("DumbbellConfig", "flow_id_base", flow_id_base, 0);
@@ -272,7 +260,7 @@ tcp::TcpSender* Dumbbell::add_flow_path(net::Node* edge_src,
   const double access_delay =
       std::max(0.0005, (rtt / 2.0 - bottleneck_delay_) / 2.0);
   const double access_bps =
-      std::max(cfg_.bottleneck_bps * cfg_.access_multiplier, 10e6);
+      std::max(cfg_.bottleneck_bps * kAccessMultiplier, 10e6);
   const std::int32_t access_buf =
       std::max(64, buffer_pkts_);
 

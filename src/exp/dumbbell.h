@@ -39,8 +39,6 @@ struct DumbbellConfig {
   /// 0 = auto: BDP in packets, at least 2x the number of flows (paper rule);
   /// resolved_buffer_pkts() applies the rule.
   std::int32_t buffer_pkts = 0;
-  /// Access links run at this multiple of the bottleneck rate (>= 2).
-  double access_multiplier = 4.0;
   /// Long-term flow start times are uniform in [0, start_window).
   double start_window = 50.0;
   /// Added to every flow/web start time: shifting the whole scenario later

@@ -15,13 +15,7 @@ constexpr std::int32_t kPort = 1;
 }
 
 void MultiBottleneckConfig::validate() const {
-  ensure_scheme_modules();
-  if (tcp::CcRegistry::instance().find(scheme.cc) == nullptr ||
-      net::QdiscRegistry::instance().find(scheme.qdisc) == nullptr)
-    throw sim::ConfigError(
-        "MultiBottleneckConfig: unknown scheme '" + scheme.cc + "/" +
-            scheme.qdisc + "'",
-        "component=MultiBottleneckConfig param=scheme\n");
+  require_registered(scheme, "MultiBottleneckConfig");
   // Below 3 routers there is no "middle" hop and the long-haul group
   // degenerates into the one-hop group; the chain topology needs >= 3.
   sim::require_at_least("MultiBottleneckConfig", "num_routers", num_routers, 3);

@@ -70,6 +70,22 @@ void ensure_scheme_modules() {
   });
 }
 
+void require_registered(const SchemeSpec& s, std::string_view component) {
+  ensure_scheme_modules();
+  const auto& ccs = tcp::CcRegistry::instance();
+  const auto& qds = net::QdiscRegistry::instance();
+  const bool cc_known = ccs.find(s.cc) != nullptr;
+  if (cc_known && qds.find(s.qdisc) != nullptr) return;
+  std::string msg = std::string(component) + ": unknown scheme '" + s.cc +
+                    "/" + s.qdisc + "'";
+  if (const std::string hint = cc_known ? qds.suggestion_for(s.qdisc)
+                                        : ccs.suggestion_for(s.cc);
+      !hint.empty())
+    msg += " (did you mean '" + hint + "'?)";
+  throw sim::ConfigError(
+      msg, "component=" + std::string(component) + " param=scheme\n");
+}
+
 SchemeSpec parse_scheme_spec(std::string_view text) {
   for (const SchemeAlias& a : kAliases)
     if (text == a.alias)

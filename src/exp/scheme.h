@@ -56,6 +56,11 @@ std::span<const SchemeAlias> scheme_aliases() noexcept;
 /// using CcRegistrar/QdiscRegistrar are independent of it.
 void ensure_scheme_modules();
 
+/// Throws sim::ConfigError naming `component` unless both halves of `s` are
+/// registered, with a did-you-mean hint for the first unknown half. The
+/// topology configs call it from validate().
+void require_registered(const SchemeSpec& s, std::string_view component);
+
 /// Prints the scheme vocabulary to stdout: the registered congestion-control
 /// modules and queue disciplines, the paper scheme names and the spec
 /// syntax. This is --list-schemes in pert_sim and the benches.

@@ -54,19 +54,16 @@ void AvqQueue::enqueue(PacketPtr p) {
   vcap_bps_ = std::clamp(vcap_bps_, 0.0, link_bps_);
 
   if (congested) {
-    if (params_.ecn && p->ecn == Ecn::Ect0) {
-      p->ecn = Ecn::Ce;
-      count_mark();
-    } else {
-      drop(std::move(p), /*forced=*/false);
-      return;
-    }
+    // A mark on a packet the real buffer then drops would be counted twice:
+    // an ECT arrival at a full buffer takes the overflow drop below unmarked.
+    const bool ect_overflow = full() && params_.ecn && p->ecn == Ecn::Ect0;
+    if (!ect_overflow && !mark_or_drop(p, params_.ecn)) return;
   } else {
     vq_bytes_ += p->size_bytes;
   }
 
   if (full()) {
-    drop(std::move(p), /*forced=*/true);
+    drop(std::move(p), DropCause::kOverflow);
     return;
   }
   push(std::move(p));

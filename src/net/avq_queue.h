@@ -45,8 +45,6 @@ class AvqQueue final : public Queue {
   double vq_bytes_ = 0; ///< virtual queue backlog
   double mean_pkt_ = 1040;
   sim::Time last_ = 0.0;
-
-  friend class SentinelTestPeer;  // NaN-injection tests for the sentinel layer
 };
 
 }  // namespace pert::net

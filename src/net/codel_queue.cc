@@ -3,9 +3,20 @@
 #include <string>
 #include <utility>
 
-#include "sim/sentinel.h"
-
 namespace pert::net {
+
+/// The FIFO CodelQueue's law polices: the base FIFO and its sojourn ledger.
+struct CodelQueue::Fifo {
+  CodelQueue& q;
+
+  bool empty() const { return q.fifo_.empty(); }
+  PacketPtr pop(sim::Time& enqueued) {
+    enqueued = q.ts_.front();
+    q.ts_.pop_front();
+    return q.take_head();
+  }
+  bool mark_or_drop(PacketPtr& p) { return q.mark_or_drop(p, q.params_.ecn); }
+};
 
 CodelQueue::CodelQueue(sim::Scheduler& sched, std::int32_t capacity_pkts,
                        CodelParams params)
@@ -23,87 +34,14 @@ void CodelQueue::enqueue(PacketPtr p) {
   push(std::move(p));
 }
 
-CodelQueue::Head CodelQueue::next_head() {
-  Head h;
-  if (fifo_.empty()) {
-    first_above_ = 0.0;
-    return h;
-  }
-  const sim::Time enq = ts_.front();
-  ts_.pop_front();
-  h.p = take_head();
-  const sim::Time sojourn = now() - enq;
-  if (sojourn < params_.target || fifo_.empty()) {
-    // Below target (or down to the last packet — a standing queue of one is
-    // just the packet being served): leave/stay out of the above-target run.
-    first_above_ = 0.0;
-  } else if (first_above_ == 0.0) {
-    // First above-target head: give the queue one interval to drain before
-    // declaring a standing queue.
-    first_above_ = now() + params_.interval;
-  } else if (now() >= first_above_) {
-    h.ok_to_drop = true;
-  }
-  return h;
-}
-
-bool CodelQueue::mark_instead(Packet& p) {
-  if (params_.ecn && p.ecn == Ecn::Ect0) {
-    p.ecn = Ecn::Ce;
-    count_mark();
-    return true;
-  }
-  return false;
-}
-
 PacketPtr CodelQueue::dequeue() {
-  Head h = next_head();
-  if (!h.p) {
-    dropping_ = false;
-    return nullptr;
-  }
-  if (dropping_) {
-    if (!h.ok_to_drop) {
-      dropping_ = false;
-    } else {
-      while (h.p && dropping_ && now() >= drop_next_) {
-        ++count_;
-        if (mark_instead(*h.p)) {
-          // The mark stands in for the drop; the packet is delivered and
-          // the control law advances one step.
-          drop_next_ = control_law(drop_next_);
-          break;
-        }
-        drop(std::move(h.p), DropCause::kCongestion);
-        h = next_head();
-        if (!h.ok_to_drop)
-          dropping_ = false;
-        else
-          drop_next_ = control_law(drop_next_);
-      }
-    }
-  } else if (h.ok_to_drop) {
-    // Enter the dropping state. Re-entry soon after the last exit resumes
-    // at the previous drop frequency instead of restarting from 1.
-    ++count_;
-    const bool marked = mark_instead(*h.p);
-    if (!marked) {
-      drop(std::move(h.p), DropCause::kCongestion);
-      h = next_head();
-    }
-    dropping_ = true;
-    const std::uint32_t delta = count_ - last_count_;
-    count_ = (delta > 1 && now() - drop_next_ < 16.0 * params_.interval)
-                 ? delta
-                 : 1;
-    drop_next_ = control_law(now());
-    last_count_ = count_;
-  }
-  if (h.p) {
+  Fifo fifo{*this};
+  PacketPtr p = law_.dequeue(fifo, params_, now());
+  if (p) {
     count_departure();
     trace_len();
   }
-  return std::move(h.p);
+  return p;
 }
 
 std::string CodelQueue::numeric_violation() const {
@@ -111,13 +49,7 @@ std::string CodelQueue::numeric_violation() const {
   if (ts_.size() != fifo_.size())
     return "codel sojourn ledger out of step: " + std::to_string(ts_.size()) +
            " stamps for " + std::to_string(fifo_.size()) + " packets";
-  if (std::string v = sim::finite_violation("codel.first_above", first_above_);
-      !v.empty())
-    return v;
-  if (std::string v = sim::finite_violation("codel.drop_next", drop_next_);
-      !v.empty())
-    return v;
-  return {};
+  return law_.numeric_violation();
 }
 
 }  // namespace pert::net

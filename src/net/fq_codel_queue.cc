@@ -7,6 +7,26 @@
 
 namespace pert::net {
 
+/// One bucket's FIFO as its CoDel law sees it, with queue-level accounting
+/// on every pop (no departure count: dequeue() counts after the deficit).
+struct FqCodelQueue::BucketFifo {
+  FqCodelQueue& q;
+  Bucket& bk;
+
+  bool empty() const { return bk.q.empty(); }
+  PacketPtr pop(sim::Time& enqueued) {
+    Stamped s = std::move(bk.q.front());
+    bk.q.pop_front();
+    q.book_remove(*s.p);
+    --q.total_;
+    enqueued = s.enq;
+    return std::move(s.p);
+  }
+  bool mark_or_drop(PacketPtr& p) {
+    return q.mark_or_drop(p, q.params_.codel.ecn);
+  }
+};
+
 FqCodelQueue::FqCodelQueue(sim::Scheduler& sched, std::int32_t capacity_pkts,
                            FqCodelParams params)
     : Queue(sched, capacity_pkts), params_(params) {
@@ -54,84 +74,6 @@ void FqCodelQueue::enqueue(PacketPtr p) {
   }
 }
 
-FqCodelQueue::Stamped FqCodelQueue::take_from(Bucket& bk) {
-  Stamped s = std::move(bk.q.front());
-  bk.q.pop_front();
-  book_remove(*s.p);
-  --total_;
-  return s;
-}
-
-FqCodelQueue::Head FqCodelQueue::next_head(Bucket& bk) {
-  Head h;
-  if (bk.q.empty()) {
-    bk.first_above = 0.0;
-    return h;
-  }
-  Stamped s = take_from(bk);
-  const sim::Time sojourn = now() - s.enq;
-  h.p = std::move(s.p);
-  if (sojourn < params_.codel.target || bk.q.empty()) {
-    bk.first_above = 0.0;
-  } else if (bk.first_above == 0.0) {
-    bk.first_above = now() + params_.codel.interval;
-  } else if (now() >= bk.first_above) {
-    h.ok_to_drop = true;
-  }
-  return h;
-}
-
-bool FqCodelQueue::mark_instead(Packet& p) {
-  if (params_.codel.ecn && p.ecn == Ecn::Ect0) {
-    p.ecn = Ecn::Ce;
-    count_mark();
-    return true;
-  }
-  return false;
-}
-
-PacketPtr FqCodelQueue::codel_dequeue(Bucket& bk) {
-  Head h = next_head(bk);
-  if (!h.p) {
-    bk.dropping = false;
-    return nullptr;
-  }
-  if (bk.dropping) {
-    if (!h.ok_to_drop) {
-      bk.dropping = false;
-    } else {
-      while (h.p && bk.dropping && now() >= bk.drop_next) {
-        ++bk.count;
-        if (mark_instead(*h.p)) {
-          bk.drop_next = control_law(bk, bk.drop_next);
-          break;
-        }
-        drop(std::move(h.p), DropCause::kCongestion);
-        h = next_head(bk);
-        if (!h.ok_to_drop)
-          bk.dropping = false;
-        else
-          bk.drop_next = control_law(bk, bk.drop_next);
-      }
-    }
-  } else if (h.ok_to_drop) {
-    ++bk.count;
-    const bool marked = mark_instead(*h.p);
-    if (!marked) {
-      drop(std::move(h.p), DropCause::kCongestion);
-      h = next_head(bk);
-    }
-    bk.dropping = true;
-    const std::uint32_t delta = bk.count - bk.last_count;
-    bk.count = (delta > 1 && now() - bk.drop_next < 16.0 * params_.codel.interval)
-                   ? delta
-                   : 1;
-    bk.drop_next = control_law(bk, now());
-    bk.last_count = bk.count;
-  }
-  return std::move(h.p);
-}
-
 PacketPtr FqCodelQueue::dequeue() {
   while (true) {
     const bool from_new = !new_flows_.empty();
@@ -145,18 +87,16 @@ PacketPtr FqCodelQueue::dequeue() {
       old_flows_.push_back(idx);
       continue;
     }
-    PacketPtr p = codel_dequeue(bk);
+    BucketFifo fifo{*this, bk};
+    PacketPtr p = bk.law.dequeue(fifo, params_.codel, now());
     if (!p) {
       // Bucket ran dry: a new flow gets one more round on the old list
       // (RFC 8290 §4.2's anti-starvation rule); an old flow leaves.
       list.pop_front();
-      if (from_new) {
+      if (from_new)
         old_flows_.push_back(idx);
-      } else {
+      else
         bk.queued = false;
-        bk.first_above = 0.0;
-        bk.dropping = false;
-      }
       continue;
     }
     --bk.deficit;
@@ -169,7 +109,10 @@ PacketPtr FqCodelQueue::dequeue() {
 std::string FqCodelQueue::numeric_violation() const {
   if (std::string v = Queue::numeric_violation(); !v.empty()) return v;
   std::int64_t sum = 0;
-  for (const Bucket& b : buckets_) sum += static_cast<std::int64_t>(b.q.size());
+  for (const Bucket& b : buckets_) {
+    if (std::string v = b.law.numeric_violation(); !v.empty()) return v;
+    sum += static_cast<std::int64_t>(b.q.size());
+  }
   if (sum != total_)
     return "fq_codel bucket accounting out of step: buckets hold " +
            std::to_string(sum) + ", total_ = " + std::to_string(total_);

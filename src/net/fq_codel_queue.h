@@ -16,9 +16,9 @@
 // rare backstop here.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "net/codel_queue.h"
@@ -74,37 +74,15 @@ class FqCodelQueue final : public Queue {
     std::deque<Stamped> q;
     std::int32_t deficit = 0;
     bool queued = false;  ///< present in new_flows_ or old_flows_
-    // Per-flow CoDel law state (same roles as CodelQueue's members).
-    sim::Time first_above = 0.0;
-    sim::Time drop_next = 0.0;
-    std::uint32_t count = 0;
-    std::uint32_t last_count = 0;
-    bool dropping = false;
+    CodelLaw law;         ///< this flow's CoDel control law
   };
-  struct Head {
-    PacketPtr p;
-    bool ok_to_drop = false;
-  };
-
-  /// Pops the bucket head with queue-level accounting (no departure count).
-  Stamped take_from(Bucket& bk);
-  /// Per-bucket dodeque(): pop + classify against the CoDel law.
-  Head next_head(Bucket& bk);
-  /// Full CoDel dequeue on one bucket; nullptr when the bucket ran dry.
-  PacketPtr codel_dequeue(Bucket& bk);
-  bool mark_instead(Packet& p);
-  sim::Time control_law(const Bucket& bk, sim::Time t) const {
-    return t + params_.codel.interval /
-                   std::sqrt(static_cast<double>(bk.count));
-  }
+  struct BucketFifo;
 
   FqCodelParams params_;
   std::vector<Bucket> buckets_;
   std::deque<std::int32_t> new_flows_;
   std::deque<std::int32_t> old_flows_;
   std::int32_t total_ = 0;  ///< packets across all buckets
-
-  friend class SentinelTestPeer;
 };
 
 }  // namespace pert::net

@@ -91,14 +91,20 @@ struct ImpairmentConfig {
 
   /// Rejects out-of-domain impairment parameters with sim::ConfigError:
   /// every probability in [0, 1], every delay/duration non-negative, the
-  /// reorder window ordered. Called by ImpairmentQueue and
-  /// schedule_link_flaps; topology builders validate up front too.
+  /// reorder window ordered, and no model that cannot do what it is set up
+  /// for (a Gilbert channel that never leaves the bad state, reordering
+  /// that never holds a packet, repeated flaps with no period between
+  /// them). Called by ImpairmentQueue and schedule_link_flaps; topology
+  /// builders validate up front too.
   void validate() const {
     sim::require_prob("ImpairmentConfig", "loss.p", loss.p);
     sim::require_prob("ImpairmentConfig", "gilbert.p_enter_bad",
                       gilbert.p_enter_bad);
     sim::require_prob("ImpairmentConfig", "gilbert.p_exit_bad",
                       gilbert.p_exit_bad);
+    if (gilbert.p_enter_bad > 0)
+      sim::require_positive("ImpairmentConfig", "gilbert.p_exit_bad",
+                            gilbert.p_exit_bad);
     sim::require_prob("ImpairmentConfig", "gilbert.loss_good",
                       gilbert.loss_good);
     sim::require_prob("ImpairmentConfig", "gilbert.loss_bad", gilbert.loss_bad);
@@ -110,6 +116,9 @@ struct ImpairmentConfig {
                               reorder.max_delay);
     sim::require_le("ImpairmentConfig", "reorder.min_delay", reorder.min_delay,
                     "reorder.max_delay", reorder.max_delay);
+    if (reorder.p > 0)
+      sim::require_positive("ImpairmentConfig", "reorder.max_delay",
+                            reorder.max_delay);
     sim::require_non_negative("ImpairmentConfig", "jitter.max_delay",
                               jitter.max_delay);
     sim::require_non_negative("ImpairmentConfig", "flap.first_down",
@@ -118,6 +127,8 @@ struct ImpairmentConfig {
                               flap.down_for);
     sim::require_non_negative("ImpairmentConfig", "flap.period", flap.period);
     sim::require_at_least("ImpairmentConfig", "flap.count", flap.count, 0);
+    if (flap.count > 1)
+      sim::require_positive("ImpairmentConfig", "flap.period", flap.period);
   }
 };
 

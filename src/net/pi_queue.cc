@@ -1,12 +1,18 @@
 #include "net/pi_queue.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
-#include "sim/sentinel.h"
-
 namespace pert::net {
+
+PiCoefficients PiCoefficients::design(double capacity_pps, double n_min,
+                                      double rtt_max, double loop_gain,
+                                      double interval, double gain_boost) {
+  const double m = 2.0 * n_min / (rtt_max * rtt_max * capacity_pps);
+  const double k =
+      gain_boost * m * std::sqrt(rtt_max * rtt_max * m * m + 1.0) / loop_gain;
+  return {k / m + k * interval / 2.0, k / m - k * interval / 2.0};
+}
 
 PiDesign PiDesign::for_link(double capacity_pps, double n_min, double rtt_max,
                             double q_ref, double sample_hz) {
@@ -18,16 +24,12 @@ PiDesign PiDesign::for_link(double capacity_pps, double n_min, double rtt_max,
   PiDesign d;
   d.q_ref = q_ref;
   d.sample_hz = sample_hz;
-  // Controller zero cancels the TCP window pole.
-  const double m = 2.0 * n_min / (rtt_max * rtt_max * capacity_pps);
-  // Loop gain of linearized TCP + queue (queue-length controlled => C^3).
-  const double gain =
+  const double loop_gain =
       std::pow(rtt_max, 3) * std::pow(capacity_pps, 3) / (4.0 * n_min * n_min);
-  // Unity magnitude at the crossover w_g ~ m (conservative phase margin).
-  const double k = m * std::sqrt(rtt_max * rtt_max * m * m + 1.0) / gain;
-  const double delta = 1.0 / sample_hz;
-  d.a = k / m + k * delta / 2.0;
-  d.b = k / m - k * delta / 2.0;
+  const PiCoefficients c = PiCoefficients::design(
+      capacity_pps, n_min, rtt_max, loop_gain, 1.0 / sample_hz);
+  d.a = c.a;
+  d.b = c.b;
   return d;
 }
 
@@ -36,6 +38,7 @@ PiQueue::PiQueue(sim::Scheduler& sched, std::int32_t capacity_pkts,
     : Queue(sched, capacity_pkts),
       design_(design),
       ecn_(ecn),
+      law_(design.a, design.b, design.q_ref),
       rng_(rng),
       sample_timer_(sched, [this] { sample(); }) {
   design_.validate();
@@ -44,37 +47,22 @@ PiQueue::PiQueue(sim::Scheduler& sched, std::int32_t capacity_pkts,
 
 std::string PiQueue::numeric_violation() const {
   if (std::string v = Queue::numeric_violation(); !v.empty()) return v;
-  if (std::string v = sim::bounded_violation("pi.prob", prob_, 0.0, 1.0);
-      !v.empty())
-    return v;
-  if (std::string v = sim::finite_violation("pi.prev_q", prev_q_); !v.empty())
-    return v;
-  return {};
+  return law_.numeric_violation("pi.prob", "pi.prev_q");
 }
 
 void PiQueue::sample() {
-  const double q = static_cast<double>(len_pkts());
-  prob_ += design_.a * (q - design_.q_ref) - design_.b * (prev_q_ - design_.q_ref);
-  prob_ = std::clamp(prob_, 0.0, 1.0);
-  prev_q_ = q;
+  law_.update(static_cast<double>(len_pkts()));
   sample_timer_.schedule_in(1.0 / design_.sample_hz);
 }
 
 void PiQueue::enqueue(PacketPtr p) {
   count_arrival();
   if (full()) {
-    drop(std::move(p), /*forced=*/true);
+    drop(std::move(p), DropCause::kOverflow);
     return;
   }
-  if (prob_ > 0.0 && rng_.bernoulli(prob_)) {
-    if (ecn_ && p->ecn == Ecn::Ect0) {
-      p->ecn = Ecn::Ce;
-      count_mark();
-    } else {
-      drop(std::move(p), /*forced=*/false);
-      return;
-    }
-  }
+  const double prob = law_.probability();
+  if (prob > 0.0 && rng_.bernoulli(prob) && !mark_or_drop(p, ecn_)) return;
   push(std::move(p));
 }
 

@@ -33,16 +33,9 @@ void PieQueue::enqueue(PacketPtr p) {
       (drop_prob_ == 0.0 && queue_delay() < params_.target / 2.0 &&
        qdelay_old_ < params_.target / 2.0) ||
       len_pkts() <= 2;
-  if (!protect && drop_prob_ > 0.0 && rng_.bernoulli(drop_prob_)) {
-    if (params_.ecn && drop_prob_ < params_.mark_ecnth &&
-        p->ecn == Ecn::Ect0) {
-      p->ecn = Ecn::Ce;
-      count_mark();
-    } else {
-      drop(std::move(p), DropCause::kCongestion);
-      return;
-    }
-  }
+  if (!protect && drop_prob_ > 0.0 && rng_.bernoulli(drop_prob_) &&
+      !mark_or_drop(p, params_.ecn && drop_prob_ < params_.mark_ecnth))
+    return;
   push(std::move(p));
 }
 

@@ -74,8 +74,6 @@ class PieQueue final : public Queue {
   double burst_allowance_;
   sim::Rng rng_;
   sim::Timer update_timer_;
-
-  friend class SentinelTestPeer;
 };
 
 }  // namespace pert::net

@@ -196,9 +196,17 @@ class Queue {
     if (on_drop) on_drop(*p, now());
   }
 
-  /// Legacy spelling used by the AQM disciplines: forced == buffer overflow.
-  void drop(PacketPtr p, bool forced) {
-    drop(std::move(p), forced ? DropCause::kOverflow : DropCause::kCongestion);
+  /// The congestion signal of every AQM: CE-marks `p` when `ecn` allows
+  /// marking and `p` is ECT, and returns true (the caller keeps the packet);
+  /// otherwise drops it as a congestion drop and returns false (`p` is gone).
+  bool mark_or_drop(PacketPtr& p, bool ecn) {
+    if (ecn && p->ecn == Ecn::Ect0) {
+      p->ecn = Ecn::Ce;
+      count_mark();
+      return true;
+    }
+    drop(std::move(p), DropCause::kCongestion);
+    return false;
   }
 
   void count_arrival() noexcept { ++stats_.arrivals; }
@@ -270,8 +278,6 @@ class Queue {
   std::vector<ClampNote> clamp_notes_;
   obs::Tracer* tracer_ = nullptr;
   std::uint32_t trace_id_ = 0;
-
-  friend class QueueTestPeer;  // white-box unit tests
 };
 
 /// Plain tail-drop FIFO.

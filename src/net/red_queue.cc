@@ -80,11 +80,10 @@ void RedQueue::enqueue(PacketPtr p) {
 
   if (full()) {
     count_ = 0;
-    drop(std::move(p), /*forced=*/true);
+    drop(std::move(p), DropCause::kOverflow);
     return;
   }
 
-  bool mark = false;
   if (avg_ >= params_.min_th) {
     if (count_ < 0) count_ = 0;
     ++count_;
@@ -93,20 +92,10 @@ void RedQueue::enqueue(PacketPtr p) {
                                      : avg_ >= params_.max_th;
     if (hard || (pa > 0.0 && rng_.bernoulli(pa))) {
       count_ = 0;
-      if (params_.ecn && p->ecn == Ecn::Ect0 && !hard) {
-        mark = true;
-      } else {
-        drop(std::move(p), /*forced=*/false);
-        return;
-      }
+      if (!mark_or_drop(p, params_.ecn && !hard)) return;
     }
   } else {
     count_ = -1;
-  }
-
-  if (mark) {
-    p->ecn = Ecn::Ce;
-    count_mark();
   }
   push(std::move(p));
 }

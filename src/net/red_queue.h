@@ -86,8 +86,6 @@ class RedQueue final : public Queue {
   sim::Time idle_since_ = 0.0;   ///< when the queue went empty (kNever if busy)
   sim::Rng rng_;
   sim::Timer adapt_timer_;
-
-  friend class SentinelTestPeer;  // NaN-injection tests for the sentinel layer
 };
 
 }  // namespace pert::net

@@ -1,10 +1,6 @@
 #include "net/rem_queue.h"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
-
-#include "sim/sentinel.h"
 
 namespace pert::net {
 
@@ -12,6 +8,7 @@ RemQueue::RemQueue(sim::Scheduler& sched, std::int32_t capacity_pkts,
                    RemParams params, sim::Rng rng)
     : Queue(sched, capacity_pkts),
       params_(params),
+      law_(params.gamma, params.phi, params.q_ref, params.rate_weight),
       rng_(rng),
       sample_timer_(sched, [this] { sample(); }) {
   params_.validate();
@@ -20,41 +17,23 @@ RemQueue::RemQueue(sim::Scheduler& sched, std::int32_t capacity_pkts,
 
 std::string RemQueue::numeric_violation() const {
   if (std::string v = Queue::numeric_violation(); !v.empty()) return v;
-  if (std::string v = sim::finite_violation("rem.price", price_); !v.empty())
-    return v;
-  if (std::string v = sim::bounded_violation("rem.prob", prob_, 0.0, 1.0);
-      !v.empty())
-    return v;
-  return {};
+  return law_.numeric_violation("rem.price", "rem.prob", "rem.prev_q");
 }
 
 void RemQueue::sample() {
-  const double q = static_cast<double>(len_pkts());
-  // price <- max(0, price + gamma*((q - q_ref) + w*(q - q_prev))):
-  // backlog mismatch plus an input-rate proxy (the backlog derivative).
-  price_ = std::max(
-      0.0, price_ + params_.gamma * ((q - params_.q_ref) +
-                                     params_.rate_weight * (q - prev_q_)));
-  prob_ = 1.0 - std::pow(params_.phi, -price_);
-  prev_q_ = q;
+  law_.update(static_cast<double>(len_pkts()));
   sample_timer_.schedule_in(1.0 / params_.sample_hz);
 }
 
 void RemQueue::enqueue(PacketPtr p) {
   count_arrival();
   if (full()) {
-    drop(std::move(p), /*forced=*/true);
+    drop(std::move(p), DropCause::kOverflow);
     return;
   }
-  if (prob_ > 0.0 && rng_.bernoulli(prob_)) {
-    if (params_.ecn && p->ecn == Ecn::Ect0) {
-      p->ecn = Ecn::Ce;
-      count_mark();
-    } else {
-      drop(std::move(p), /*forced=*/false);
-      return;
-    }
-  }
+  const double prob = law_.probability();
+  if (prob > 0.0 && rng_.bernoulli(prob) && !mark_or_drop(p, params_.ecn))
+    return;
   push(std::move(p));
 }
 

@@ -2,14 +2,66 @@
 //
 // A "price" integrates the mismatch between backlog and target; packets are
 // marked with probability 1 - phi^(-price), decoupling the congestion
-// measure from the queue length itself.
+// measure from the queue length itself. The law is written once here:
+// PERT/REM (core/rem_emulation.h) runs the same RemLaw on its
+// queueing-delay estimate.
 #pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "net/queue.h"
 #include "sim/random.h"
+#include "sim/sentinel.h"
 #include "sim/timer.h"
 
 namespace pert::net {
+
+/// REM's price law on any congestion signal x (backlog at the router,
+/// queueing delay at the end host):
+///   price = max(0, price + gamma * ((x - ref) + w * (x - x_prev)))
+///   p     = 1 - phi^(-price)
+/// the backlog mismatch plus an input-rate proxy (the backlog derivative).
+class RemLaw {
+ public:
+  RemLaw(double gamma, double phi, double ref, double rate_weight)
+      : gamma_(gamma), phi_(phi), ref_(ref), rate_weight_(rate_weight) {}
+
+  /// Feeds one sample; returns the updated probability.
+  double update(double x) {
+    price_ = std::max(
+        0.0, price_ + gamma_ * ((x - ref_) + rate_weight_ * (x - prev_)));
+    prev_ = x;
+    prob_ = 1.0 - std::pow(phi_, -price_);
+    return prob_;
+  }
+
+  double price() const noexcept { return price_; }
+  double probability() const noexcept { return prob_; }
+
+  /// Numeric sentinel under the caller's names: the price stays finite, the
+  /// probability a probability and the previous sample finite (a NaN sample
+  /// poisons all three through max/pow). "" while healthy.
+  std::string numeric_violation(const char* price_name, const char* prob_name,
+                                const char* prev_name) const {
+    if (std::string v = sim::finite_violation(price_name, price_); !v.empty())
+      return v;
+    if (std::string v = sim::bounded_violation(prob_name, prob_, 0.0, 1.0);
+        !v.empty())
+      return v;
+    return sim::finite_violation(prev_name, prev_);
+  }
+
+ private:
+  double gamma_;
+  double phi_;
+  double ref_;
+  double rate_weight_;
+  double price_ = 0.0;
+  double prob_ = 0.0;
+  double prev_ = 0.0;
+};
 
 struct RemParams {
   double gamma = 0.001;   ///< price gain per sample
@@ -38,9 +90,9 @@ class RemQueue final : public Queue {
 
   void enqueue(PacketPtr p) override;
 
-  double avg_estimate() const override { return price_; }
-  double price() const noexcept { return price_; }
-  double mark_prob() const noexcept { return prob_; }
+  double avg_estimate() const override { return price(); }
+  double price() const noexcept { return law_.price(); }
+  double mark_prob() const noexcept { return law_.probability(); }
 
   /// Base checks plus the price integrator and marking probability.
   std::string numeric_violation() const override;
@@ -49,13 +101,9 @@ class RemQueue final : public Queue {
   void sample();
 
   RemParams params_;
-  double price_ = 0.0;
-  double prob_ = 0.0;
-  double prev_q_ = 0.0;
+  RemLaw law_;
   sim::Rng rng_;
   sim::Timer sample_timer_;
-
-  friend class SentinelTestPeer;  // NaN-injection tests for the sentinel layer
 };
 
 }  // namespace pert::net

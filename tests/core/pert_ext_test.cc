@@ -2,6 +2,7 @@
 // pmax, the tiny-window response guard, and the REM emulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -9,6 +10,8 @@
 #include "core/rem_emulation.h"
 #include "core/sampled_pert.h"
 #include "net/network.h"
+#include "net/rem_queue.h"
+#include "sim/random.h"
 #include "tcp/tcp_sink.h"
 
 namespace pert::core {
@@ -145,16 +148,37 @@ TEST(RemEmulator, PriceUnwindsBelowTarget) {
 }
 
 TEST(RemEmulator, CapacityScalingMatchesRouterForm) {
-  // gamma_delay = gamma_router * C.
-  const RemEmuDesign d1 = RemEmuDesign::for_path(1000, 0.001);
-  const RemEmuDesign d2 = RemEmuDesign::for_path(2000, 0.001);
-  EXPECT_DOUBLE_EQ(d2.gamma, 2 * d1.gamma);
+  // Section 6.1's scaling against the router's own REM at matched
+  // parameters (q_ref = C * tq_ref): the end host's gamma is the router's
+  // times C with the same phi and rate weight, so the one REM law fed q_k at
+  // the router and q_k / C at the end host prices every sample alike.
+  const double tq_ref = 0.003;
+  sim::Rng rng(7);
+  for (const double c : {500.0, 6000.0, 30000.0}) {
+    net::RemParams router;
+    router.q_ref = c * tq_ref;
+    const RemEmuDesign host = RemEmuDesign::for_path(c, tq_ref, 170.0, router);
+    EXPECT_NEAR(host.gamma / router.gamma, c, c * 1e-12);
+    EXPECT_EQ(host.phi, router.phi);
+    EXPECT_EQ(host.rate_weight, router.rate_weight);
+    net::RemLaw router_law(router.gamma, router.phi, router.q_ref,
+                           router.rate_weight);
+    RemEmulator host_law(host);
+    double max_p = 0.0;
+    for (int k = 0; k < 5000; ++k) {
+      const double q = rng.uniform(0.5, 3.0) * router.q_ref;
+      const double p = router_law.update(q);
+      ASSERT_NEAR(host_law.update(q / c), p, 1e-12) << "C=" << c << " k=" << k;
+      max_p = std::max(max_p, p);
+    }
+    EXPECT_GT(max_p, 1e-3) << "C=" << c;  // the price rose off zero
+  }
 }
 
 TEST(PertRem, KeepsQueueLowWithoutLosses) {
   TwoWayPath p(10e6, 0.025, 600);
   const double pps = 10e6 / (8 * 1040);
-  const RemEmuDesign d = RemEmuDesign::for_path(pps, 0.001, 0.005);
+  const RemEmuDesign d = RemEmuDesign::for_path(pps, 0.005);
   std::vector<PertRemSender*> flows;
   for (int i = 0; i < 4; ++i) {
     flows.push_back(p.add<PertRemSender>(i, p.a, p.b, d));

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "core/sampled_pert.h"
+#include "exp/dumbbell.h"
 #include "net/network.h"
+#include "net/pi_queue.h"
+#include "sim/random.h"
 #include "tcp/tcp_sink.h"
 
 namespace pert::core {
@@ -29,16 +33,35 @@ TEST(PiEmuDesign, DelayBasedGainCarriesCSquared) {
 
 TEST(PiEmuDesign, EmulationEqualsRouterTimesCapacity) {
   // Section 6.1: PERT-PI parameters = router PI parameters * link capacity.
-  // Our delay-based design divides the loop gain by C relative to the
-  // router design, which is the same statement: a_delay ~ a_router * C.
-  const double c = 12000;
-  const PiEmuDesign delay_based = PiEmuDesign::for_path(c, 50, 0.2);
-  // Router design per [16] uses C^3; replicate the formula here.
-  const double m = 2.0 * 50 / (0.2 * 0.2 * c);
-  const double gain_router = std::pow(0.2, 3) * std::pow(c, 3) / (4.0 * 50 * 50);
-  const double k_router = m * std::sqrt(0.2 * 0.2 * m * m + 1.0) / gain_router;
-  const double a_router = k_router / m + k_router * delay_based.sample_interval / 2.0;
-  EXPECT_NEAR(delay_based.a / a_router, c, c * 1e-9);
+  // Built at matched parameters (q_ref = C * tq_ref, no gain boost), the
+  // end-host coefficients are the router's times C, so the one PI law fed
+  // q_k at the router and q_k / C at the end host gives the same
+  // probability at every step.
+  const double tq_ref = 0.003;
+  sim::Rng rng(11);
+  for (const double c : {1000.0, 12000.0})
+    for (const double n : {5.0, 50.0})
+      for (const double r : {0.05, 0.2}) {
+        const net::PiDesign router =
+            net::PiDesign::for_link(c, n, r, c * tq_ref);
+        const PiEmuDesign host =
+            PiEmuDesign::for_path(c, n, r, tq_ref, router.sample_hz, 1.0);
+        EXPECT_NEAR(host.a / router.a, c, c * 1e-12);
+        EXPECT_NEAR(host.b / router.b, c, c * 1e-12);
+        net::PiLaw router_law(router.a, router.b, router.q_ref);
+        PiEmulator host_law(host);
+        double max_p = 0.0;
+        for (int k = 0; k < 5000; ++k) {
+          const double q = rng.uniform(0.5, 3.0) * router.q_ref;
+          const double p = router_law.update(q);
+          ASSERT_NEAR(host_law.update(q / c), p, 1e-12)
+              << "C=" << c << " N=" << n << " R=" << r << " k=" << k;
+          max_p = std::max(max_p, p);
+        }
+        // The router's design integrates slowly at small N and long R; the
+        // probability still has to leave zero for the comparison to bite.
+        EXPECT_GT(max_p, 1e-7) << "C=" << c << " N=" << n << " R=" << r;
+      }
 }
 
 TEST(PiEmulator, IntegratesPositiveError) {
@@ -125,6 +148,27 @@ TEST(PertPiSender, HoldsQueueNearTargetDelay) {
   std::int64_t early = 0;
   for (auto* s : senders) early += s->flow_stats().early_responses;
   EXPECT_GT(early, 0);
+}
+
+TEST(SampledPertSender, EarlyBetaReachesPertPiAndPertRem) {
+  // PERT/PI and PERT/REM run PERT's own early response with the flow's
+  // PertParams, so a heavier decrease changes the run.
+  for (const char* scheme : {"pert-pi", "pert-rem"}) {
+    const auto run = [scheme](double beta) {
+      exp::DumbbellConfig cfg;
+      cfg.scheme = exp::parse_scheme_spec(scheme);
+      cfg.bottleneck_bps = 10e6;
+      cfg.rtt = 0.04;
+      cfg.num_fwd_flows = 4;
+      cfg.start_window = 0.5;
+      cfg.pert.early_beta = beta;
+      exp::Dumbbell d(cfg);
+      return d.measure_window(3.0, 5.0);
+    };
+    const exp::WindowMetrics paper = run(0.35);
+    EXPECT_GT(paper.early_responses, 0u) << scheme;
+    EXPECT_FALSE(run(0.9) == paper) << scheme;
+  }
 }
 
 }  // namespace

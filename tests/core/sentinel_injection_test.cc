@@ -19,7 +19,7 @@
 
 namespace pert::core {
 
-// Test-only backdoor, befriended by the senders and the PiEmulator: reaches
+// Test-only backdoor, befriended by the senders: reaches
 // the private hot state to poison it the way a latent arithmetic bug would,
 // without widening any public API.
 class SentinelTestPeer {
@@ -78,7 +78,7 @@ TEST(PiEmuDesignValidate, ForPathPassesRejectionsThrow) {
   d.tq_ref = -0.003;
   EXPECT_THROW(d.validate(), sim::ConfigError);
   d = PiEmuDesign::for_path(12500.0, 10, 0.2);
-  d.early_beta = kNaN;
+  d.sample_interval = kNaN;
   EXPECT_THROW(d.validate(), sim::ConfigError);
 }
 

@@ -143,6 +143,22 @@ TEST(FuzzScenario, ConfigMaterialization) {
   EXPECT_TRUE(mb.watchdog.enabled);
 }
 
+TEST(FuzzScenario, ReorderWithoutAHoldIsAConfigError) {
+  // A repro bundle is checked by the same rules as a command line: reorder
+  // with p > 0 and no maximum hold would never reorder anything.
+  Scenario s;
+  s.reorder_p = 0.05;
+  s.reorder_max_delay = 0.0;
+  try {
+    run_scenario(s);
+    FAIL() << "reorder_p > 0 with reorder_max_delay = 0 must not build";
+  } catch (const sim::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("reorder.max_delay"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 /// First generator index whose scenario the oracle can judge (clean PERT
 /// dumbbell). The suite below reuses it so sim time is spent on exactly one
 /// eligible scenario.

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "exp/dumbbell.h"
+#include "exp/multi_bottleneck.h"
 #include "sim/errors.h"
 
 namespace pert::exp {
@@ -184,6 +185,19 @@ TEST(SchemeSpec, ValidateRejectsUnknownModulesWithSuggestion) {
   EXPECT_THROW(cfg.validate(), sim::ConfigError);
   cfg.scheme = SchemeSpec("typo", "cubic", "coddel", false);
   EXPECT_THROW(cfg.validate(), sim::ConfigError);
+}
+
+TEST(SchemeSpec, MultiBottleneckValidateSuggestsToo) {
+  MultiBottleneckConfig cfg;
+  cfg.scheme = SchemeSpec("typo", "cubc", "droptail", false);
+  try {
+    cfg.validate();
+    FAIL() << "unknown cc module must throw";
+  } catch (const sim::ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("MultiBottleneckConfig"), std::string::npos) << what;
+    EXPECT_NE(what.find("did you mean 'cubic'"), std::string::npos) << what;
+  }
 }
 
 /// Everything `command` writes to stdout.

@@ -91,6 +91,27 @@ TEST(Avq, ForcedDropAtRealBufferLimit) {
   EXPECT_LE(q.len_pkts(), 3);
 }
 
+TEST(Avq, NeverMarksAPacketItDropsForOverflow) {
+  // ECT arrivals at twice the drain rate keep the virtual queue congested
+  // and fill the real buffer. An arrival the buffer cannot hold is an
+  // overflow drop and carries no mark.
+  sim::Scheduler s;
+  AvqQueue q(s, 20, 10e6, AvqParams{});
+  std::uint64_t marked_drops = 0;
+  q.on_drop = [&](const Packet& p, sim::Time) {
+    if (p.ecn == Ecn::Ce) ++marked_drops;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    s.run_until(s.now() + 0.0004);  // 1000-byte packets at 20 Mb/s
+    q.enqueue(mk());
+    if (i % 2 == 1) q.dequeue();  // the 10 Mb/s link drains every other one
+  }
+  const Queue::Stats st = q.snapshot();
+  ASSERT_GT(st.forced_drops, 0u);
+  ASSERT_GT(st.ecn_marks, 0u);
+  EXPECT_EQ(marked_drops, 0u);
+}
+
 // ---------- REM ----------
 
 RemParams rem_basic() {

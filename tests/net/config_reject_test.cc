@@ -153,6 +153,22 @@ TEST(ConfigReject, ImpairmentConfig) {
   ImpairmentConfig bad_count;
   bad_count.flap.count = -1;
   EXPECT_THROW(bad_count.validate(), sim::ConfigError);
+
+  // A Gilbert channel that can never leave the bad state.
+  ImpairmentConfig stuck_bad;
+  stuck_bad.gilbert.p_enter_bad = 0.01;
+  EXPECT_THROW(stuck_bad.validate(), sim::ConfigError);
+
+  // Reordering that never holds a packet.
+  ImpairmentConfig no_hold;
+  no_hold.reorder.p = 0.05;
+  EXPECT_THROW(no_hold.validate(), sim::ConfigError);
+
+  // Several flaps with no period between them run as one outage.
+  ImpairmentConfig one_outage;
+  one_outage.flap.down_for = 0.1;
+  one_outage.flap.count = 3;
+  EXPECT_THROW(one_outage.validate(), sim::ConfigError);
 }
 
 TEST(ConfigReject, HealthyQueueHasNoNumericViolation) {
