@@ -31,7 +31,8 @@ tcp::TcpSender* make_pert_pi(const tcp::CcContext& ctx) {
 }
 
 tcp::TcpSender* make_pert_rem(const tcp::CcContext& ctx) {
-  const RemEmuDesign d = RemEmuDesign::for_path(ctx.pps, ctx.target_delay);
+  const RemEmuDesign d =
+      RemEmuDesign::for_path(ctx.pps, ctx.target_delay, ctx.sample_hz);
   return ctx.net->add_agent<PertRemSender>(nullptr, 0, *ctx.net, ctx.tcp,
                                            ctx.flow, d, pert_params(ctx));
 }

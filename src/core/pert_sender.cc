@@ -113,20 +113,6 @@ std::string pert_invariants(const tcp::TcpSender& /*sender*/,
 
 }  // namespace
 
-bool early_response(tcp::CcHost& h, const EarlyResponseParams& e,
-                    sim::Time& last_early, double rtt) {
-  // The effect of a reduction is not visible for one RTT; never respond
-  // proactively while loss recovery is already reducing the window, and
-  // keep the ACK clock alive at tiny windows.
-  if (h.in_recovery()) return false;
-  if (h.cwnd() <= e.min_cwnd_for_response) return false;
-  if (e.limit_once_per_rtt && h.now() - last_early < rtt) return false;
-  h.multiplicative_decrease(e.early_beta);
-  last_early = h.now();
-  h.note_early_response();
-  return true;
-}
-
 tcp::CongestionOps pert_ops(const PertParams& params) {
   tcp::CongestionOps ops;
   ops.name = "pert";

@@ -28,8 +28,19 @@ inline constexpr sim::Time kNeverEarly = -1e18;
 /// reducing it, the window is at min_cwnd_for_response or below, or
 /// (limit_once_per_rtt) the last early response is less than `rtt` ago.
 /// Stamps `last_early` and returns true when it cut.
-bool early_response(tcp::CcHost& h, const EarlyResponseParams& e,
-                    sim::Time& last_early, double rtt);
+inline bool early_response(tcp::CcHost& h, const EarlyResponseParams& e,
+                           sim::Time& last_early, double rtt) {
+  // The effect of a reduction is not visible for one RTT; never respond
+  // proactively while loss recovery is already reducing the window, and
+  // keep the ACK clock alive at tiny windows.
+  if (h.in_recovery()) return false;
+  if (h.cwnd() <= e.min_cwnd_for_response) return false;
+  if (e.limit_once_per_rtt && h.now() - last_early < rtt) return false;
+  h.multiplicative_decrease(e.early_beta);
+  last_early = h.now();
+  h.note_early_response();
+  return true;
+}
 
 /// Per-flow PERT state (the module's private-state slot).
 struct PertState {

@@ -30,8 +30,8 @@ struct RemEmuDesign {
   /// The router's REM parameters scaled by the path capacity (packets per
   /// second): gamma times C, the same phi and rate weight.
   static RemEmuDesign for_path(double capacity_pps, double tq_ref = 0.003,
-                               double sample_hz = 170.0,
-                               const net::RemParams& router = {}) {
+                               double sample_hz = 170.0) {
+    const net::RemParams router;
     RemEmuDesign d;
     d.gamma = router.gamma * capacity_pps;
     d.phi = router.phi;

@@ -59,7 +59,8 @@ struct DumbbellConfig {
   /// a biased min-RTT estimate respond unequally); 0.5 balances the two and
   /// reproduces the paper's "slightly worse fairness at low RTT".
   double pert_pi_gain_boost = 0.5;
-  /// Sampling frequency of the PERT/PI end-host controller (paper: 170 Hz).
+  /// Sampling frequency of the PERT/PI and PERT/REM end-host controllers
+  /// (paper: 170 Hz).
   /// A config knob (not a constant) so time-rescaled twin scenarios can
   /// scale every time dimension consistently.
   double pert_pi_sample_hz = 170.0;

@@ -33,7 +33,6 @@ class AvqQueue final : public Queue {
 
   double avg_estimate() const override { return vq_bytes_ / mean_pkt_; }
   double virtual_capacity_bps() const noexcept { return vcap_bps_; }
-  double virtual_queue_bytes() const noexcept { return vq_bytes_; }
 
   /// Base checks plus virtual capacity/backlog and the mean-packet EWMA.
   std::string numeric_violation() const override;

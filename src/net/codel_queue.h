@@ -162,10 +162,6 @@ class CodelQueue final : public Queue {
   bool dropping() const noexcept { return law_.dropping(); }
   std::uint32_t drop_count() const noexcept { return law_.drop_count(); }
   sim::Time drop_next() const noexcept { return law_.drop_next(); }
-  /// Sojourn the current head packet has accumulated (0 when empty).
-  sim::Time head_sojourn() const noexcept {
-    return ts_.empty() ? 0.0 : now() - ts_.front();
-  }
 
   /// Base checks plus the sojourn ledger and control-law state.
   std::string numeric_violation() const override;

@@ -38,8 +38,7 @@ bool ImpairmentQueue::impairment_drops(const Packet& p) {
 sim::Time ImpairmentQueue::hold_delay() {
   sim::Time d = 0.0;
   if (cfg_.jitter.max_delay > 0) d += rng_.uniform(0.0, cfg_.jitter.max_delay);
-  if (cfg_.reorder.p > 0 && cfg_.reorder.max_delay > 0 &&
-      rng_.bernoulli(cfg_.reorder.p))
+  if (cfg_.reorder.p > 0 && rng_.bernoulli(cfg_.reorder.p))
     d += rng_.uniform(cfg_.reorder.min_delay, cfg_.reorder.max_delay);
   return d;
 }

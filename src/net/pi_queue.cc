@@ -36,13 +36,13 @@ PiDesign PiDesign::for_link(double capacity_pps, double n_min, double rtt_max,
 PiQueue::PiQueue(sim::Scheduler& sched, std::int32_t capacity_pkts,
                  PiDesign design, bool ecn, sim::Rng rng)
     : Queue(sched, capacity_pkts),
-      design_(design),
       ecn_(ecn),
       law_(design.a, design.b, design.q_ref),
+      sample_interval_(1.0 / design.sample_hz),
       rng_(rng),
       sample_timer_(sched, [this] { sample(); }) {
-  design_.validate();
-  sample_timer_.schedule_in(1.0 / design_.sample_hz);
+  design.validate();
+  sample_timer_.schedule_in(sample_interval_);
 }
 
 std::string PiQueue::numeric_violation() const {
@@ -52,7 +52,7 @@ std::string PiQueue::numeric_violation() const {
 
 void PiQueue::sample() {
   law_.update(static_cast<double>(len_pkts()));
-  sample_timer_.schedule_in(1.0 / design_.sample_hz);
+  sample_timer_.schedule_in(sample_interval_);
 }
 
 void PiQueue::enqueue(PacketPtr p) {

@@ -111,7 +111,6 @@ class PiQueue final : public Queue {
   /// Diagnostic: the mark probability in thousandths.
   double avg_estimate() const override { return mark_prob() * 1000.0; }
   double mark_prob() const noexcept { return law_.probability(); }
-  const PiDesign& design() const noexcept { return design_; }
 
   /// Base checks plus the PI integrator state.
   std::string numeric_violation() const override;
@@ -119,9 +118,9 @@ class PiQueue final : public Queue {
  private:
   void sample();
 
-  PiDesign design_;
   bool ecn_;
   PiLaw law_;
+  double sample_interval_;
   sim::Rng rng_;
   sim::Timer sample_timer_;
 };

@@ -7,12 +7,13 @@ namespace pert::net {
 RemQueue::RemQueue(sim::Scheduler& sched, std::int32_t capacity_pkts,
                    RemParams params, sim::Rng rng)
     : Queue(sched, capacity_pkts),
-      params_(params),
+      ecn_(params.ecn),
       law_(params.gamma, params.phi, params.q_ref, params.rate_weight),
+      sample_interval_(1.0 / params.sample_hz),
       rng_(rng),
       sample_timer_(sched, [this] { sample(); }) {
-  params_.validate();
-  sample_timer_.schedule_in(1.0 / params_.sample_hz);
+  params.validate();
+  sample_timer_.schedule_in(sample_interval_);
 }
 
 std::string RemQueue::numeric_violation() const {
@@ -22,7 +23,7 @@ std::string RemQueue::numeric_violation() const {
 
 void RemQueue::sample() {
   law_.update(static_cast<double>(len_pkts()));
-  sample_timer_.schedule_in(1.0 / params_.sample_hz);
+  sample_timer_.schedule_in(sample_interval_);
 }
 
 void RemQueue::enqueue(PacketPtr p) {
@@ -32,7 +33,7 @@ void RemQueue::enqueue(PacketPtr p) {
     return;
   }
   const double prob = law_.probability();
-  if (prob > 0.0 && rng_.bernoulli(prob) && !mark_or_drop(p, params_.ecn))
+  if (prob > 0.0 && rng_.bernoulli(prob) && !mark_or_drop(p, ecn_))
     return;
   push(std::move(p));
 }

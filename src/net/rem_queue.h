@@ -100,8 +100,9 @@ class RemQueue final : public Queue {
  private:
   void sample();
 
-  RemParams params_;
+  bool ecn_;
   RemLaw law_;
+  double sample_interval_;
   sim::Rng rng_;
   sim::Timer sample_timer_;
 };

@@ -157,7 +157,7 @@ TEST(RemEmulator, CapacityScalingMatchesRouterForm) {
   for (const double c : {500.0, 6000.0, 30000.0}) {
     net::RemParams router;
     router.q_ref = c * tq_ref;
-    const RemEmuDesign host = RemEmuDesign::for_path(c, tq_ref, 170.0, router);
+    const RemEmuDesign host = RemEmuDesign::for_path(c, tq_ref);
     EXPECT_NEAR(host.gamma / router.gamma, c, c * 1e-12);
     EXPECT_EQ(host.phi, router.phi);
     EXPECT_EQ(host.rate_weight, router.rate_weight);

@@ -150,11 +150,13 @@ TEST(PertPiSender, HoldsQueueNearTargetDelay) {
   EXPECT_GT(early, 0);
 }
 
-TEST(SampledPertSender, EarlyBetaReachesPertPiAndPertRem) {
+TEST(SampledPertSender, EarlyBetaAndSampleRateReachPertPiAndPertRem) {
   // PERT/PI and PERT/REM run PERT's own early response with the flow's
-  // PertParams, so a heavier decrease changes the run.
+  // PertParams, and both controllers sample at
+  // DumbbellConfig::pert_pi_sample_hz (the rate the metamorphic rescale
+  // doubles), so a heavier decrease or a faster controller changes the run.
   for (const char* scheme : {"pert-pi", "pert-rem"}) {
-    const auto run = [scheme](double beta) {
+    const auto run = [scheme](double beta, double hz) {
       exp::DumbbellConfig cfg;
       cfg.scheme = exp::parse_scheme_spec(scheme);
       cfg.bottleneck_bps = 10e6;
@@ -162,12 +164,14 @@ TEST(SampledPertSender, EarlyBetaReachesPertPiAndPertRem) {
       cfg.num_fwd_flows = 4;
       cfg.start_window = 0.5;
       cfg.pert.early_beta = beta;
+      cfg.pert_pi_sample_hz = hz;
       exp::Dumbbell d(cfg);
       return d.measure_window(3.0, 5.0);
     };
-    const exp::WindowMetrics paper = run(0.35);
+    const exp::WindowMetrics paper = run(0.35, 170.0);
     EXPECT_GT(paper.early_responses, 0u) << scheme;
-    EXPECT_FALSE(run(0.9) == paper) << scheme;
+    EXPECT_FALSE(run(0.9, 170.0) == paper) << scheme << " beta";
+    EXPECT_FALSE(run(0.35, 340.0) == paper) << scheme << " hz";
   }
 }
 
