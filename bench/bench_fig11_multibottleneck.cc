@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
         bench::cell_trace(cfg.obs, opt.trace_dir, job.key);
     job.run = [cfg, warmup, measure, trace_path](const runner::Job&) {
       exp::MultiBottleneck mb(cfg);
-      const std::vector<exp::HopMetrics> hops =
+      const std::vector<exp::WindowMetrics> hops =
           mb.measure_window(warmup, measure);
       bench::write_cell_trace(mb.obs().tracer(), trace_path);
       runner::JobOutput out;
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       // Hop averages are the job's scalar metrics; the registry carries
       // every hop for the tables below.
       for (std::size_t h = 0; h < hops.size(); ++h) {
-        const exp::HopMetrics& m = hops[h];
+        const exp::WindowMetrics& m = hops[h];
         out.metrics.avg_queue_pkts += m.avg_queue_pkts / hops.size();
         out.metrics.norm_queue += m.norm_queue / hops.size();
         out.metrics.drop_rate += m.drop_rate / hops.size();

@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/response_curve.h"
 #include "exp/dumbbell.h"
@@ -38,7 +39,8 @@ void BM_SchedulerScheduleDispatch(benchmark::State& state) {
 BENCHMARK(BM_SchedulerScheduleDispatch);
 
 /// Same per-event accounting, but every group of 64 events shares one
-/// timestamp, so the drain goes through the batched dispatch path.
+/// timestamp: the same-time case (PERT/PI and PERT/REM sampling ticks fall
+/// in lockstep), dispatched one event at a time like every other.
 void BM_SchedulerBatchDispatch(benchmark::State& state) {
   sim::Scheduler s;
   std::uint64_t n = 0;
@@ -52,6 +54,28 @@ void BM_SchedulerBatchDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerBatchDispatch);
+
+/// Hold model at a fixed heap depth (the `sched_ns` perfbench times at each
+/// cell's depth): the heap starts with range(0) events at uniform times in
+/// [0, 1); each iteration schedules one event at now() plus a uniform draw
+/// in [0, 1) and dispatches the earliest, so the depth stays constant.
+void BM_SchedulerHold(benchmark::State& state) {
+  sim::Scheduler s;
+  sim::Rng rng(7);
+  std::vector<double> draws(4096);
+  for (double& d : draws) d = rng.uniform(0.0, 1.0);
+  std::uint64_t n = 0;
+  for (std::int64_t k = 0; k < state.range(0); ++k)
+    s.schedule_at(draws[static_cast<std::size_t>(k) & 4095], [&n] { ++n; });
+  std::size_t i = 0;
+  for (auto _ : state) {
+    s.schedule_at(s.now() + draws[i++ & 4095], [&n] { ++n; });
+    s.run_next();
+  }
+  benchmark::DoNotOptimize(n);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerHold)->Arg(64)->Arg(4096);
 
 void BM_SchedulerCancel(benchmark::State& state) {
   sim::Scheduler s;

@@ -266,29 +266,12 @@ std::vector<RelationResult> check_relations(const Scenario& s) {
         cfg.obs.trace.enabled = true;
         cfg.obs.metrics = true;
         MultiBottleneck mb(cfg);
-        const std::vector<HopMetrics> hops =
-            mb.measure_window(s.warmup, s.measure);
-        // Fold as run_scenario does: the most loaded hop's metrics.
-        WindowMetrics folded;
-        folded.duration = s.measure;
-        for (const HopMetrics& h : hops) {
-          if (h.utilization >= folded.utilization) {
-            folded.utilization = h.utilization;
-            folded.avg_queue_pkts = h.avg_queue_pkts;
-            folded.norm_queue = h.norm_queue;
-            folded.drop_rate = h.drop_rate;
-            folded.jain = h.jain;
-          }
-        }
-        if (folded.utilization != base.metrics.utilization ||
-            folded.avg_queue_pkts != base.metrics.avg_queue_pkts ||
-            folded.norm_queue != base.metrics.norm_queue ||
-            folded.drop_rate != base.metrics.drop_rate ||
-            folded.jain != base.metrics.jain) {
+        // Folded as run_scenario folds base: the most loaded hop.
+        const WindowMetrics folded = most_loaded_hop(
+            mb.measure_window(s.warmup, s.measure), s.measure);
+        if (std::string d = diff_exact(base.metrics, folded); !d.empty()) {
           r.ok = false;
-          r.detail = "observed chain twin diverged (utilization " +
-                     fmt_num(folded.utilization) + " vs " +
-                     fmt_num(base.metrics.utilization) + ")";
+          r.detail = "observed chain twin diverged: " + d;
         }
       } catch (const std::exception& e) {
         r.ok = false;

@@ -168,6 +168,22 @@ MultiBottleneckConfig to_multi_bottleneck(const Scenario& s) {
   return cfg;
 }
 
+WindowMetrics most_loaded_hop(const std::vector<WindowMetrics>& hops,
+                              double measure) {
+  WindowMetrics out;
+  out.duration = measure;
+  for (const WindowMetrics& h : hops) {
+    if (h.utilization >= out.utilization) {
+      out.utilization = h.utilization;
+      out.avg_queue_pkts = h.avg_queue_pkts;
+      out.norm_queue = h.norm_queue;
+      out.drop_rate = h.drop_rate;
+      out.jain = h.jain;
+    }
+  }
+  return out;
+}
+
 ScenarioOutcome run_scenario(const Scenario& s) {
   ScenarioOutcome out;
   if (s.topology == Topology::kDumbbell) {
@@ -176,18 +192,8 @@ ScenarioOutcome run_scenario(const Scenario& s) {
     return out;
   }
   MultiBottleneck mb(to_multi_bottleneck(s));
-  const std::vector<HopMetrics> hops = mb.measure_window(s.warmup, s.measure);
-  // Fold the chain into one WindowMetrics: report the most loaded hop.
-  out.metrics.duration = s.measure;
-  for (const HopMetrics& h : hops) {
-    if (h.utilization >= out.metrics.utilization) {
-      out.metrics.utilization = h.utilization;
-      out.metrics.avg_queue_pkts = h.avg_queue_pkts;
-      out.metrics.norm_queue = h.norm_queue;
-      out.metrics.drop_rate = h.drop_rate;
-      out.metrics.jain = h.jain;
-    }
-  }
+  out.metrics =
+      most_loaded_hop(mb.measure_window(s.warmup, s.measure), s.measure);
   return out;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "exp/dumbbell.h"
 #include "exp/multi_bottleneck.h"
@@ -88,6 +89,12 @@ struct ScenarioOutcome {
   /// hop by utilization, with avg_queue_pkts from the most loaded hop.
   WindowMetrics metrics;
 };
+
+/// Folds a chain's per-hop windows into one: the most loaded hop's (the last
+/// one on a tie) utilization, avg_queue_pkts, norm_queue, drop_rate and jain
+/// over a window of `measure` seconds; every other field stays 0.
+WindowMetrics most_loaded_hop(const std::vector<WindowMetrics>& hops,
+                              double measure);
 
 /// Builds and runs the scenario with the standard invariant checker enabled
 /// (Scenario runs never disable it). Throws sim::InvariantViolation /

@@ -247,8 +247,8 @@ void MultiBottleneck::sample_tick() {
   sampler_.schedule_in(obs_.config().sample_interval);
 }
 
-std::vector<HopMetrics> MultiBottleneck::measure_window(sim::Time warmup,
-                                                        sim::Time measure) {
+std::vector<WindowMetrics> MultiBottleneck::measure_window(sim::Time warmup,
+                                                           sim::Time measure) {
   require_runnable_window("MultiBottleneck", warmup, measure);
   maybe_start_sampler();
   net_.run_until(warmup);
@@ -258,19 +258,10 @@ std::vector<HopMetrics> MultiBottleneck::measure_window(sim::Time warmup,
 
   net_.run_until(warmup + measure);
 
-  std::vector<HopMetrics> out;
+  std::vector<WindowMetrics> out;
   for (std::size_t h = 0; h < hop_links_.size(); ++h) {
-    const WindowMetrics w =
-        recorders_[h].end(buffer_pkts_, cfg_.router_link_bps, net_.now());
-    HopMetrics m;
-    m.avg_queue_pkts = w.avg_queue_pkts;
-    m.norm_queue = w.norm_queue;
-    m.drop_rate = w.drop_rate;
-    m.utilization = w.utilization;
-    // Fairness over the one-hop group whose path starts at this hop.
-    m.jain = w.jain;
-    out.push_back(m);
-
+    const WindowMetrics& w = out.emplace_back(
+        recorders_[h].end(buffer_pkts_, cfg_.router_link_bps, net_.now()));
     if (obs_.config().metrics) {
       const std::string hop = "hop" + std::to_string(h);
       obs::MetricRegistry& reg = obs_.registry();

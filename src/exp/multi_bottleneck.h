@@ -44,22 +44,16 @@ struct MultiBottleneckConfig {
   void validate() const;
 };
 
-struct HopMetrics {
-  double avg_queue_pkts = 0;
-  double norm_queue = 0;
-  double drop_rate = 0;
-  double utilization = 0;
-  double jain = 0;  ///< over the flows whose path starts at this hop
-};
-
 class MultiBottleneck {
  public:
   explicit MultiBottleneck(MultiBottleneckConfig cfg);
 
   /// Runs warmup then a measurement window; returns one entry per router
-  /// pair (R1-R2, ..., R5-R6). Throws sim::ConfigError unless
-  /// require_runnable_window() passes.
-  std::vector<HopMetrics> measure_window(sim::Time warmup, sim::Time measure);
+  /// pair (R1-R2, ..., R5-R6), measured at that hop's queue and link, with
+  /// `jain` over the flows whose path starts at the hop. Throws
+  /// sim::ConfigError unless require_runnable_window() passes.
+  std::vector<WindowMetrics> measure_window(sim::Time warmup,
+                                            sim::Time measure);
 
   net::Network& network() noexcept { return net_; }
   std::int32_t num_hops() const {

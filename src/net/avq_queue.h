@@ -31,7 +31,6 @@ class AvqQueue final : public Queue {
 
   void enqueue(PacketPtr p) override;
 
-  double avg_estimate() const override { return vq_bytes_ / mean_pkt_; }
   double virtual_capacity_bps() const noexcept { return vcap_bps_; }
 
   /// Base checks plus virtual capacity/backlog and the mean-packet EWMA.

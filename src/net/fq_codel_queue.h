@@ -47,9 +47,6 @@ class FqCodelQueue final : public Queue {
   PacketPtr dequeue() override;
 
   std::int32_t len_pkts() const noexcept override { return total_; }
-  double avg_estimate() const override {
-    return static_cast<double>(total_);
-  }
 
   const FqCodelParams& params() const noexcept { return params_; }
   /// Buckets currently holding packets (fairness unit tests).

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "net/link.h"
@@ -132,10 +133,12 @@ struct ImpairmentConfig {
   }
 };
 
-/// Delegating base for queue wrappers: forwards length/estimate/dequeue to
-/// the wrapped discipline and merges stats so callers see one coherent queue
+/// Delegating base for queue wrappers: forwards length/dequeue to the
+/// wrapped discipline and merges stats so callers see one coherent queue
 /// (arrivals as offered to the wrapper, drops from both layers, occupancy
-/// integrals from the inner buffer).
+/// integral from the inner buffer). The numeric sentinel checks both layers,
+/// so a wrapped AQM's own state (RED avg, PI prob, REM price...) stays
+/// watched.
 class WrapperQueue : public Queue {
  public:
   WrapperQueue(sim::Scheduler& sched, std::unique_ptr<Queue> inner)
@@ -151,7 +154,12 @@ class WrapperQueue : public Queue {
   std::int64_t len_bytes() const noexcept override {
     return inner_->len_bytes();
   }
-  double avg_estimate() const override { return inner_->avg_estimate(); }
+
+  /// The merged view's check, then the wrapped discipline's own.
+  std::string numeric_violation() const override {
+    if (std::string v = Queue::numeric_violation(); !v.empty()) return v;
+    return inner_->numeric_violation();
+  }
 
   /// Inner snapshot + this wrapper's arrivals/departures/injected drops.
   Stats snapshot() const override {

@@ -108,8 +108,6 @@ class PiQueue final : public Queue {
 
   void enqueue(PacketPtr p) override;
 
-  /// Diagnostic: the mark probability in thousandths.
-  double avg_estimate() const override { return mark_prob() * 1000.0; }
   double mark_prob() const noexcept { return law_.probability(); }
 
   /// Base checks plus the PI integrator state.

@@ -52,7 +52,6 @@ class PieQueue final : public Queue {
 
   void enqueue(PacketPtr p) override;
 
-  double avg_estimate() const override { return drop_prob_ * 1000.0; }
   double drop_prob() const noexcept { return drop_prob_; }
   double qdelay_old() const noexcept { return qdelay_old_; }
   double burst_allowance() const noexcept { return burst_allowance_; }

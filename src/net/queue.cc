@@ -38,10 +38,6 @@ std::string Queue::numeric_violation() const {
   if (std::string v = sim::counter_violation("queue.len_bytes", len_bytes());
       !v.empty())
     return v;
-  if (std::string v = sim::finite_violation("queue.avg_estimate",
-                                            avg_estimate());
-      !v.empty())
-    return v;
   const Stats s = snapshot();
   if (std::string v = sim::counter_violation("queue.arrivals", s.arrivals);
       !v.empty())

@@ -40,8 +40,6 @@ class Queue {
     /// Integral of queue length (packets) over time; diff two snapshots and
     /// divide by elapsed time for the windowed average queue length.
     double len_integral = 0.0;
-    /// Integral of avg-estimator (RED) or raw length otherwise; diagnostics.
-    double avg_integral = 0.0;
   };
 
   Queue(sim::Scheduler& sched, std::int32_t capacity_pkts)
@@ -72,7 +70,6 @@ class Queue {
     Stats s = stats_;
     const sim::Time now = sched_->now();
     s.len_integral += integral_len() * (now - last_change_);
-    s.avg_integral += avg_estimate() * (now - last_change_);
     return s;
   }
 
@@ -81,7 +78,7 @@ class Queue {
   /// a message describing the imbalance (watchdog invariant).
   std::string conservation_violation() const;
 
-  /// Numeric-sentinel self-check: smoothed estimates, byte accounting, and
+  /// Numeric-sentinel self-check: byte accounting, the length integral and
   /// cumulative counters must stay finite / non-negative / below counter
   /// saturation. Returns "" while healthy, else a message naming the rotted
   /// state. Polled by the watchdog's "numeric-sentinel" invariant on its
@@ -89,10 +86,6 @@ class Queue {
   /// their own hidden state (RED avg, PI/REM integrators, AVQ virtual
   /// capacity) extend the base check.
   virtual std::string numeric_violation() const;
-
-  /// The discipline's smoothed congestion estimate (RED avg; raw length for
-  /// disciplines without smoothing). Exposed for monitors and tests.
-  virtual double avg_estimate() const { return static_cast<double>(fifo_.size()); }
 
   /// Attaches a tracer (not owned; may be null) and the entity id this queue
   /// reports under. Emits "queue.drop.{congestion,overflow,injected}" and
@@ -138,7 +131,7 @@ class Queue {
 
   /// Stores a packet at the tail, maintaining accounting.
   void push(PacketPtr p) {
-    advance_integrals();
+    advance_integral();
     stats_.bytes_in += static_cast<std::uint64_t>(p->size_bytes);
     bytes_ += p->size_bytes;
     fifo_.push_back(std::move(p));
@@ -151,7 +144,7 @@ class Queue {
   /// must not call this on an empty fifo_ and must finish the packet's
   /// story itself: count_departure()+trace_len() on delivery, or drop().
   PacketPtr take_head() {
-    advance_integrals();
+    advance_integral();
     PacketPtr p = std::move(fifo_.front());
     fifo_.pop_front();
     bytes_ -= p->size_bytes;
@@ -171,12 +164,12 @@ class Queue {
   /// accounting without touching fifo_. Pair every book_insert with either
   /// a book_remove (delivery) or nothing (the packet left via drop()).
   void book_insert(const Packet& p) {
-    advance_integrals();
+    advance_integral();
     stats_.bytes_in += static_cast<std::uint64_t>(p.size_bytes);
     bytes_ += p.size_bytes;
   }
   void book_remove(const Packet& p) {
-    advance_integrals();
+    advance_integral();
     bytes_ -= p.size_bytes;
   }
 
@@ -230,19 +223,18 @@ class Queue {
   obs::Tracer* tracer() const noexcept { return tracer_; }
   std::uint32_t trace_id() const noexcept { return trace_id_; }
 
-  /// Accrues the length/avg integrals up to now; call before length changes.
-  void advance_integrals() {
+  /// Accrues the length integral up to now; call before length changes.
+  void advance_integral() {
     const sim::Time t = now();
     stats_.len_integral += integral_len() * (t - last_change_);
-    stats_.avg_integral += avg_estimate() * (t - last_change_);
     last_change_ = t;
   }
 
-  /// Instantaneous length used for the integrals and length-annotated trace
+  /// Instantaneous length used for the integral and length-annotated trace
   /// events. Base: resident packets in fifo_. Disciplines with their own
   /// storage (FQ-CoDel) override; wrapper disciplines whose len_pkts()
   /// includes held-in-flight packets deliberately keep the base definition
-  /// so their integrals stay over the resident buffer.
+  /// so their integral stays over the resident buffer.
   virtual double integral_len() const noexcept {
     return static_cast<double>(fifo_.size());
   }

@@ -65,7 +65,7 @@ class RedQueue final : public Queue {
   void enqueue(PacketPtr p) override;
   PacketPtr dequeue() override;
 
-  double avg_estimate() const override { return avg_; }
+  double avg() const noexcept { return avg_; }
   const RedParams& params() const noexcept { return params_; }
   double cur_max_p() const noexcept { return params_.max_p; }
 

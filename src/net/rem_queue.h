@@ -90,7 +90,6 @@ class RemQueue final : public Queue {
 
   void enqueue(PacketPtr p) override;
 
-  double avg_estimate() const override { return price(); }
   double price() const noexcept { return law_.price(); }
   double mark_prob() const noexcept { return law_.probability(); }
 

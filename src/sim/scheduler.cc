@@ -122,22 +122,16 @@ bool Scheduler::cancel(EventId id) {
   // Generation mismatch: the event already ran or was cancelled (and the
   // slot possibly recycled for a newer event this handle must not touch).
   if (s.gen != id.gen_) return false;
-  if (s.heap_pos == kInBatch) {
-    // Drained into the current dispatch batch but not yet run. Releasing the
-    // slot bumps its generation, so the batch loop skips it — exactly the
-    // events repeated run_next() could still cancel at this point.
-    assert(batch_live_ > 0);
-    --batch_live_;
-    release_slot(id.slot_);
-    return true;
-  }
   assert(s.heap_pos >= 0);
   heap_erase(static_cast<std::size_t>(s.heap_pos));
   release_slot(id.slot_);
   return true;
 }
 
-void Scheduler::dispatch_slot(std::uint32_t idx) {
+bool Scheduler::run_next() {
+  if (heap_.empty()) return false;
+  const std::uint32_t idx = heap_[0];
+  heap_erase(0);
   Slot& s = slots_[idx];
   assert(s.t >= now_);
   if (s.t > now_) {
@@ -163,68 +157,16 @@ void Scheduler::dispatch_slot(std::uint32_t idx) {
                      "sched.dispatch", 0, "pending",
                      static_cast<double>(pending()));
   cb();
-}
-
-bool Scheduler::run_next() {
-  if (heap_.empty()) return false;
-  const std::uint32_t idx = heap_[0];
-  heap_erase(0);
-  dispatch_slot(idx);
   return true;
 }
 
-std::size_t Scheduler::run_batch() {
-  if (heap_.empty()) return 0;
-  // Singleton fast path: most instants host exactly one event, and going
-  // through the batch buffer would only add bookkeeping.
-  {
-    const std::uint32_t top = heap_[0];
-    const std::size_t n = heap_.size();
-    const std::size_t first = 1;
-    const std::size_t last = first + kArity < n ? first + kArity : n;
-    bool tie = false;
-    for (std::size_t c = first; c < last; ++c)
-      if (slots_[heap_[c]].t == slots_[top].t) {
-        tie = true;
-        break;
-      }
-    if (!tie) {
-      heap_erase(0);
-      dispatch_slot(top);
-      return 1;
-    }
-  }
-  // Drain the whole same-timestamp run off the heap in one pop loop. Slots
-  // stay live (heap_pos = kInBatch) so cancel() keeps exact semantics; the
-  // generation snapshot detects cancellation before dispatch.
-  const Time t = slots_[heap_[0]].t;
-  batch_.clear();
-  while (!heap_.empty() && slots_[heap_[0]].t == t) {
-    const std::uint32_t idx = heap_[0];
-    heap_erase(0);
-    slots_[idx].heap_pos = kInBatch;
-    batch_.emplace_back(idx, slots_[idx].gen);
-  }
-  batch_live_ = batch_.size();
-  std::size_t ran = 0;
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    const auto [idx, gen] = batch_[i];
-    if (slots_[idx].gen != gen) continue;  // cancelled mid-batch
-    --batch_live_;
-    dispatch_slot(idx);
-    ++ran;
-  }
-  assert(batch_live_ == 0);
-  return ran;
-}
-
 void Scheduler::run_until(Time t) {
-  while (!heap_.empty() && slots_[heap_[0]].t <= t) run_batch();
+  while (!heap_.empty() && slots_[heap_[0]].t <= t) run_next();
   if (now_ < t) now_ = t;
 }
 
 void Scheduler::run_until_exclusive(Time t) {
-  while (!heap_.empty() && slots_[heap_[0]].t < t) run_batch();
+  while (!heap_.empty() && slots_[heap_[0]].t < t) run_next();
 }
 
 Time Scheduler::next_time() const noexcept {

@@ -25,15 +25,6 @@
 // pure function of topology, never of when a worker thread drained them, and
 // they always dispatch before local events at the same instant. Single-shard
 // runs never create keyed events and are byte-identical to prior builds.
-//
-// Same-timestamp dispatch is batched: run_batch() drains the whole run of
-// events sharing the earliest timestamp off the heap in one pop loop, then
-// dispatches them back-to-back through a small reusable buffer. Heap
-// maintenance and callback execution stop interleaving when many events
-// share an instant (in practice the PERT/PI and PERT/REM sampling timers,
-// which tick in lockstep), while cancellation keeps exact semantics: an
-// event cancelled by an earlier callback in its own batch is skipped,
-// precisely as the unbatched loop would have skipped it.
 #pragma once
 
 #include <cassert>
@@ -93,18 +84,12 @@ class Scheduler {
                        std::move(cb));
   }
 
-  /// Cancels a pending event. Returns true iff the event was still pending
-  /// (including events drained into the current dispatch batch but not yet
-  /// run — exactly the events the unbatched loop could still cancel).
+  /// Cancels a pending event. Returns true iff the event was still pending.
   bool cancel(EventId id);
 
   /// Pops and dispatches the earliest event. Returns false when none is left.
+  /// The simulator's only dispatch loop: every other run entry point calls it.
   bool run_next();
-
-  /// Drains every event sharing the earliest timestamp and dispatches the
-  /// run back-to-back. Dispatch order is identical to repeated run_next().
-  /// Returns the number of events dispatched (0 when the queue is empty).
-  std::size_t run_batch();
 
   /// Dispatches every event with time <= t, then advances the clock to t.
   void run_until(Time t);
@@ -122,9 +107,8 @@ class Scheduler {
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
   /// Number of pending (non-cancelled, not-yet-dispatched) events. O(1):
-  /// cancellation removes events eagerly, and events drained into the
-  /// current batch still count until they actually run.
-  std::size_t pending() const noexcept { return heap_.size() + batch_live_; }
+  /// cancellation removes events eagerly.
+  std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Total events dispatched so far (for micro-benchmarks and sanity checks).
   std::uint64_t dispatched() const noexcept { return dispatched_; }
@@ -146,15 +130,11 @@ class Scheduler {
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
  private:
-  /// heap_pos value for events drained into the current dispatch batch:
-  /// live (cancellable) but no longer heap residents.
-  static constexpr std::int32_t kInBatch = -2;
-
   struct Slot {
     Time t = 0.0;
     std::uint64_t seq = 0;       // tie-break key (lane bit | counter)
     std::uint32_t gen = 0;       // odd while scheduled, even while free
-    std::int32_t heap_pos = -1;  // index into heap_, -1 free, kInBatch drained
+    std::int32_t heap_pos = -1;  // index into heap_, -1 while free
     Callback cb;
   };
 
@@ -180,18 +160,9 @@ class Scheduler {
 
   EventId emplace(Time t, std::uint64_t seq, Callback cb);
 
-  /// Shared guts of run_next / run_batch: clock + stall accounting, slot
-  /// release, dispatch trace, callback invocation for the event in `idx`.
-  void dispatch_slot(std::uint32_t idx);
-
   std::vector<Slot> slots_;         // slot pool (high-water-mark sized)
   std::vector<std::uint32_t> free_; // recycled slot indices
   std::vector<std::uint32_t> heap_; // 4-ary min-heap of live slot indices
-  /// Reusable (slot, generation) scratch for run_batch; generation detects
-  /// cancellation (or slot reuse) between drain and dispatch.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> batch_;
-  /// Drained-but-not-yet-run events of the current batch (pending() term).
-  std::size_t batch_live_ = 0;
   obs::Tracer* tracer_ = nullptr;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 1;

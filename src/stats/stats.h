@@ -1,5 +1,5 @@
 // Measurement primitives: Jain fairness, running summaries, histograms,
-// EWMA, moving averages, and time-weighted values.
+// EWMA and moving averages.
 #pragma once
 
 #include <cassert>
@@ -8,8 +8,6 @@
 #include <deque>
 #include <span>
 #include <vector>
-
-#include "sim/time.h"
 
 namespace pert::stats {
 
@@ -167,33 +165,6 @@ class MovingAverage {
   std::size_t window_;
   std::deque<double> buf_;
   double sum_ = 0.0;
-};
-
-/// A value whose time-weighted mean is tracked (e.g., instantaneous rate).
-class TimeWeighted {
- public:
-  void set(double v, sim::Time now) {
-    integral_ += value_ * (now - last_);
-    value_ = v;
-    last_ = now;
-  }
-  /// Time-average over [t0, now], where integral was reset at t0.
-  double average(sim::Time now) const {
-    const double span = now - start_;
-    if (span <= 0) return value_;
-    return (integral_ + value_ * (now - last_)) / span;
-  }
-  void reset(sim::Time now) {
-    start_ = last_ = now;
-    integral_ = 0;
-  }
-  double current() const noexcept { return value_; }
-
- private:
-  double value_ = 0.0;
-  double integral_ = 0.0;
-  sim::Time start_ = 0.0;
-  sim::Time last_ = 0.0;
 };
 
 }  // namespace pert::stats

@@ -73,16 +73,7 @@ MultiBottleneckConfig chain_cfg(std::int32_t threads) {
 TEST(PdesDeterminism, MultiBottleneckResultsIndependentOfThreadCount) {
   MultiBottleneck m1(chain_cfg(1));
   MultiBottleneck m2(chain_cfg(2));
-  const std::vector<HopMetrics> h1 = m1.measure_window(2.0, 3.0);
-  const std::vector<HopMetrics> h2 = m2.measure_window(2.0, 3.0);
-  ASSERT_EQ(h1.size(), h2.size());
-  for (std::size_t i = 0; i < h1.size(); ++i) {
-    EXPECT_EQ(h1[i].avg_queue_pkts, h2[i].avg_queue_pkts) << "hop " << i;
-    EXPECT_EQ(h1[i].norm_queue, h2[i].norm_queue) << "hop " << i;
-    EXPECT_EQ(h1[i].drop_rate, h2[i].drop_rate) << "hop " << i;
-    EXPECT_EQ(h1[i].utilization, h2[i].utilization) << "hop " << i;
-    EXPECT_EQ(h1[i].jain, h2[i].jain) << "hop " << i;
-  }
+  EXPECT_EQ(m1.measure_window(2.0, 3.0), m2.measure_window(2.0, 3.0));
 }
 
 TEST(PdesDeterminism, ShardedRunActuallyMovesTraffic) {

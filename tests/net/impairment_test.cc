@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "net/fault_queue.h"
 #include "net/network.h"
 #include "net/node.h"
 #include "sim/random.h"
@@ -179,6 +182,47 @@ TEST(Impairment, InjectedAndOverflowDropsStaySeparate) {
   EXPECT_EQ(st.drops, st.injected_drops + st.forced_drops);
   EXPECT_EQ(q.len_pkts(), 5);
   EXPECT_EQ(q.conservation_violation(), "");
+}
+
+/// A discipline whose own state can rot: its numeric sentinel then reports
+/// a fault that the base Queue check cannot see.
+class RottingQueue final : public Queue {
+ public:
+  using Queue::Queue;
+  void enqueue(PacketPtr p) override {
+    count_arrival();
+    push(std::move(p));
+  }
+  std::string numeric_violation() const override {
+    if (std::string v = Queue::numeric_violation(); !v.empty()) return v;
+    return rotted ? "rotting.avg is nan" : "";
+  }
+  bool rotted = false;
+};
+
+TEST(WrapperQueue, NumericSentinelReachesTheWrappedDiscipline) {
+  ImpairmentConfig cfg;
+  cfg.loss.p = 0.2;
+  sim::Scheduler s;
+  auto inner_i = std::make_unique<RottingQueue>(s, 100);
+  auto inner_f = std::make_unique<RottingQueue>(s, 100);
+  RottingQueue& rot_i = *inner_i;
+  RottingQueue& rot_f = *inner_f;
+  ImpairmentQueue imp(s, std::move(inner_i), cfg, sim::Rng(3));
+  FaultInjectionQueue fault(s, std::move(inner_f),
+                            [](const Packet& p) { return p.uid % 4 == 0; });
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    imp.enqueue(mk(i));
+    fault.enqueue(mk(i));
+  }
+  EXPECT_EQ(imp.numeric_violation(), "");
+  EXPECT_EQ(fault.numeric_violation(), "");
+
+  rot_i.rotted = true;
+  EXPECT_EQ(imp.numeric_violation(), "rotting.avg is nan");
+  EXPECT_EQ(fault.numeric_violation(), "");
+  rot_f.rotted = true;
+  EXPECT_EQ(fault.numeric_violation(), "rotting.avg is nan");
 }
 
 TEST(Impairment, LinkFlapPausesAndResumesDelivery) {

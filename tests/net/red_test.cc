@@ -42,8 +42,8 @@ TEST(Red, AvgTracksQueueLength) {
   RedQueue q(s, 100, basic());
   for (int i = 0; i < 20; ++i) q.enqueue(mk());
   // With wq=0.5 the avg converges quickly toward the instantaneous length.
-  EXPECT_GT(q.avg_estimate(), 5.0);
-  EXPECT_LE(q.avg_estimate(), 20.0);
+  EXPECT_GT(q.avg(), 5.0);
+  EXPECT_LE(q.avg(), 20.0);
 }
 
 TEST(Red, EarlyDropsBetweenThresholds) {
@@ -116,10 +116,10 @@ TEST(Red, IdleDecayReducesAverage) {
   for (int i = 0; i < 20; ++i) q.enqueue(mk());
   while (q.dequeue()) {
   }
-  const double avg_full = q.avg_estimate();
+  const double avg_full = q.avg();
   s.run_until(1.0);  // 1 s idle at 1000 pkt/s -> decay by (1-wq)^1000
   q.enqueue(mk());
-  EXPECT_LT(q.avg_estimate(), avg_full / 10);
+  EXPECT_LT(q.avg(), avg_full / 10);
 }
 
 TEST(Red, GentleRampIsContinuous) {

@@ -1,14 +1,14 @@
-// Batched dispatch must be order-equivalent to one-event-at-a-time dispatch,
-// and cancellation must keep exact semantics even for events already drained
-// into the current batch. The strongest check is a randomized twin run: the
-// same schedule/cancel script driven through run() (one event per heap pop)
-// and through run_until() (batched) must produce the same dispatch sequence
-// at the same timestamps.
+// Same-timestamp runs of events ("batches") through the one dispatch loop:
+// they dispatch in schedule order, and cancel(), pending() and slot reuse
+// keep exact semantics while a run is being dispatched. The randomized case
+// replays schedule/cancel scripts with heavy timestamp collisions and checks
+// the dispatch trace against the scheduler's contract.
 #include "sim/scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/random.h"
@@ -16,38 +16,39 @@
 namespace pert::sim {
 namespace {
 
-// One trace entry per dispatched event: (logical id, dispatch time).
-using Trace = std::vector<std::pair<int, Time>>;
-
 // A deterministic script of operations replayed against a scheduler. Each
 // event may, from inside its callback, schedule more events (possibly at the
-// current timestamp, landing in a *later* batch) and cancel a pending one.
-// All decisions are driven by the event's logical id and a fixed Rng seed so
-// both twins replay the exact same choices.
+// current timestamp) and cancel a pending one. Logical ids are handed out in
+// schedule order, so a correct scheduler dispatches in increasing (time, id).
 class Script {
  public:
   explicit Script(std::uint64_t seed, int initial, int max_events)
       : rng_(seed), max_events_(max_events), initial_(initial) {}
 
-  void run_on(Scheduler& s, bool batched) {
+  void run_on(Scheduler& s) {
     for (int i = 0; i < initial_; ++i) spawn(s, next_id_++, rng_.uniform(0, 4));
-    if (batched) {
-      s.run_until(1e9);
-    } else {
-      while (s.run_next()) {
-      }
-    }
+    s.run_until(1e9);
   }
 
-  const Trace& trace() const { return trace_; }
+  int scheduled() const { return next_id_; }
+  /// (logical id, dispatch time) per dispatched event, in dispatch order.
+  const std::vector<std::pair<int, Time>>& ran() const { return ran_; }
+  /// Ids whose cancel() returned true.
+  const std::vector<int>& cancelled() const { return cancelled_; }
+  /// Number of cancel() calls whose result disagreed with whether the
+  /// event was still pending, i.e. had neither run nor been cancelled
+  /// (must stay 0).
+  int cancel_mismatches() const { return cancel_mismatches_; }
 
  private:
   void spawn(Scheduler& s, int id, Time t) {
-    // Coarse times force heavy timestamp collisions (the batching case).
+    // Coarse times force heavy timestamp collisions (same-time runs).
     const Time qt = static_cast<Time>(static_cast<int>(t * 8.0)) / 8.0;
     ids_.resize(static_cast<std::size_t>(next_id_), Scheduler::EventId{});
+    done_.resize(static_cast<std::size_t>(next_id_), false);
     ids_[static_cast<std::size_t>(id)] = s.schedule_at(qt, [this, &s, id] {
-      trace_.emplace_back(id, s.now());
+      ran_.emplace_back(id, s.now());
+      done_[static_cast<std::size_t>(id)] = true;
       if (next_id_ < max_events_) {
         // Spawn 0-2 children, sometimes at the current time exactly.
         const int n = static_cast<int>(rng_.uniform(0.0, 3.0));
@@ -56,12 +57,19 @@ class Script {
           spawn(s, next_id_++, same_t ? s.now() : s.now() + rng_.uniform(0.01, 1.0));
         }
         // Occasionally cancel a random earlier event (often already run —
-        // cancel() then reports false; sometimes in this very batch).
+        // cancel() then reports false; sometimes in this same-time run).
         if (rng_.bernoulli(0.4)) {
           const int victim = static_cast<int>(
               rng_.uniform(0.0, static_cast<double>(next_id_)));
-          const bool ok = s.cancel(ids_[static_cast<std::size_t>(victim)]);
-          trace_.emplace_back(ok ? -victim - 1 : -100000 - victim, s.now());
+          const std::size_t v = static_cast<std::size_t>(victim);
+          const bool was_pending = !done_[v];
+          if (s.cancel(ids_[v])) {
+            if (!was_pending) ++cancel_mismatches_;
+            cancelled_.push_back(victim);
+            done_[v] = true;
+          } else if (was_pending) {
+            ++cancel_mismatches_;
+          }
         }
       }
     });
@@ -72,22 +80,41 @@ class Script {
   int initial_;
   int next_id_ = 0;
   std::vector<Scheduler::EventId> ids_;
-  Trace trace_;
+  std::vector<bool> done_;  // ran or cancelled
+  std::vector<std::pair<int, Time>> ran_;
+  std::vector<int> cancelled_;
+  int cancel_mismatches_ = 0;
 };
 
-TEST(SchedulerBatch, RandomizedTwinMatchesUnbatchedDispatch) {
+TEST(SchedulerBatch, RandomizedScriptRunsInOrderAndHonoursCancel) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Scheduler unbatched;
-    Script a(seed, /*initial=*/12, /*max_events=*/400);
-    a.run_on(unbatched, /*batched=*/false);
+    Scheduler s;
+    Script script(seed, /*initial=*/12, /*max_events=*/400);
+    script.run_on(s);
+    const auto& ran = script.ran();
 
-    Scheduler batched;
-    Script b(seed, /*initial=*/12, /*max_events=*/400);
-    b.run_on(batched, /*batched=*/true);
-
-    ASSERT_EQ(a.trace(), b.trace()) << "seed " << seed;
-    EXPECT_EQ(unbatched.dispatched(), batched.dispatched()) << "seed " << seed;
-    EXPECT_EQ(unbatched.pending(), batched.pending()) << "seed " << seed;
+    // Dispatch order is (time, schedule order), strictly increasing.
+    for (std::size_t i = 1; i < ran.size(); ++i) {
+      ASSERT_TRUE(ran[i - 1].second < ran[i].second ||
+                  (ran[i - 1].second == ran[i].second &&
+                   ran[i - 1].first < ran[i].first))
+          << "seed " << seed << " at dispatch " << i;
+    }
+    // cancel() returns true exactly for pending events, and those never run;
+    // every other scheduled event runs exactly once.
+    EXPECT_EQ(script.cancel_mismatches(), 0) << "seed " << seed;
+    std::vector<int> fate(static_cast<std::size_t>(script.scheduled()), 0);
+    for (const auto& [id, t] : ran) ++fate[static_cast<std::size_t>(id)];
+    for (int id : script.cancelled()) {
+      EXPECT_EQ(fate[static_cast<std::size_t>(id)], 0)
+          << "seed " << seed << ": cancelled event " << id << " ran";
+      fate[static_cast<std::size_t>(id)] = 1;
+    }
+    for (std::size_t id = 0; id < fate.size(); ++id)
+      EXPECT_EQ(fate[id], 1) << "seed " << seed << " event " << id;
+    EXPECT_GT(script.cancelled().size(), 0u) << "seed " << seed;
+    EXPECT_EQ(s.dispatched(), ran.size()) << "seed " << seed;
+    EXPECT_EQ(s.pending(), 0u) << "seed " << seed;
   }
 }
 
@@ -97,7 +124,7 @@ TEST(SchedulerBatch, CancelInsideDrainedBatchSuppressesEvent) {
   Scheduler::EventId b;
   s.schedule_at(1.0, [&] {
     order.push_back(0);
-    EXPECT_TRUE(s.cancel(b));  // B is already drained into this batch
+    EXPECT_TRUE(s.cancel(b));  // B shares this timestamp but has not run
   });
   b = s.schedule_at(1.0, [&] { order.push_back(1); });
   s.schedule_at(1.0, [&] { order.push_back(2); });
@@ -118,8 +145,8 @@ TEST(SchedulerBatch, CancelOfAlreadyDispatchedBatchEventReportsFalse) {
 }
 
 TEST(SchedulerBatch, CancelledBatchSlotIsReusableImmediately) {
-  // Cancelling an in-batch event releases its slot; a schedule from the same
-  // batch may reuse it. The stale EventId (old generation) must stay dead.
+  // Cancelling a same-time event releases its slot; a schedule from the same
+  // run may reuse it. The stale EventId (old generation) must stay dead.
   Scheduler s;
   std::vector<int> order;
   Scheduler::EventId b;
@@ -140,7 +167,7 @@ TEST(SchedulerBatch, PendingCountsUndispatchedBatchRemainder) {
     s.schedule_at(1.0, [&] { seen.push_back(s.pending()); });
   s.run_until(2.0);
   // Each dispatched event observes the not-yet-run remainder of its own
-  // batch as still pending — exactly what run_next() would report.
+  // same-time run as still pending.
   EXPECT_EQ(seen, (std::vector<std::size_t>{4, 3, 2, 1, 0}));
   EXPECT_EQ(s.pending(), 0u);
 }
@@ -155,7 +182,7 @@ TEST(SchedulerBatch, SameTimeScheduleFromBatchRunsAfterBatch) {
   s.schedule_at(1.0, [&] { order.push_back(1); });
   s.run_until(2.0);
   // The same-timestamp child has a later sequence number than every event
-  // in the current batch, so it runs after them — batched or not.
+  // already scheduled at this time, so it runs after them.
   EXPECT_EQ(order, (std::vector<int>{0, 1, 99}));
   EXPECT_EQ(s.now(), 2.0);  // run_until advances the clock to its horizon
 }

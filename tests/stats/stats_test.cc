@@ -128,24 +128,6 @@ TEST(MovingAverage, WindowedMean) {
   EXPECT_DOUBLE_EQ(m.value(), 5.0);
 }
 
-TEST(TimeWeighted, AveragesOverTime) {
-  TimeWeighted tw;
-  tw.reset(0.0);
-  tw.set(10.0, 0.0);
-  tw.set(20.0, 1.0);  // 10 held for [0,1)
-  // average over [0,2]: (10*1 + 20*1)/2 = 15
-  EXPECT_DOUBLE_EQ(tw.average(2.0), 15.0);
-}
-
-TEST(TimeWeighted, ResetRestartsWindow) {
-  TimeWeighted tw;
-  tw.reset(0.0);
-  tw.set(100.0, 0.0);
-  tw.reset(10.0);
-  tw.set(2.0, 10.0);
-  EXPECT_DOUBLE_EQ(tw.average(20.0), 2.0);
-}
-
 class JainProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(JainProperty, WorstCaseIsOneOverN) {
