@@ -251,10 +251,10 @@ void BM_EndToEndSimSecond(benchmark::State& state) {
 BENCHMARK(BM_EndToEndSimSecond);
 
 /// Paper-scale dumbbell (PERT, 150 Mbps): one simulated second per
-/// iteration. The benchmark argument is sim_threads: 0 = the classic
-/// single-scheduler path, >= 1 = the sharded parallel engine with that many
+/// iteration. The benchmark argument is sim_threads: 0 = one shard, run
+/// without the engine, >= 1 = the sharded parallel engine with that many
 /// workers (1 is the determinism oracle; speedup needs real cores). The
-/// watchdog is off in all variants so classic and sharded simulate the same
+/// watchdog is off in all variants so one shard and many simulate the same
 /// event population. Wall-clock (UseRealTime) is the honest metric when
 /// worker threads are doing the simulating.
 void end_to_end_dumbbell(benchmark::State& state, std::int32_t flows) {

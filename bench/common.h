@@ -36,10 +36,11 @@ enum Reads : unsigned {
 struct Opts {
   bool full = false;
   bool smoke = false;
-  /// Parallel-engine workers *inside* each simulation (0 = classic
-  /// single-scheduler path). Orthogonal to --jobs: --jobs parallelizes
-  /// across grid cells, --sim-threads parallelizes one simulation. Results
-  /// are byte-identical for every value (tools/check_pdes.sh pins this).
+  /// Parallel-engine workers *inside* each simulation (0 = one shard, run
+  /// without the engine). Orthogonal to --jobs: --jobs parallelizes across
+  /// grid cells, --sim-threads parallelizes one simulation. Tables are
+  /// byte-identical for every value, reports for every value >= 1
+  /// (tools/check_pdes.sh pins both).
   unsigned sim_threads = 0;
   std::string trace_dir;  ///< when non-empty, per-cell event traces go here
   runner::RunFlags run_flags;
@@ -67,8 +68,8 @@ struct Opts {
                 "exit");
     if (reads & kSimThreads)
       opts.opt("--sim-threads", &o.sim_threads,
-               "parallel engine workers per simulation (0 = classic "
-               "single-scheduler path; results identical for any value)");
+               "parallel engine workers per simulation (0 = one shard, "
+               "run without the engine; results identical for any value)");
     if (reads & kRunner) {
       runner::add_run_flags(opts, o.run_flags);
       opts.opt("--trace-dir", &o.trace_dir,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <optional>
 
 #include "exp/invariants.h"
 #include "net/qdisc_registry.h"
@@ -81,25 +80,31 @@ Dumbbell::Dumbbell(DumbbellConfig cfg)
       sampler_(net_.sched(), [this] { sample_tick(); }) {
   cfg_.validate();
   if (cfg_.sim_threads > 0) {
-    // Shard 0: r1 + forward bottleneck; shard 1: r2 + reverse bottleneck
-    // (the bottleneck propagation delay is the lookahead between them —
-    // splitting the routers roughly halves the busiest shard's event
-    // share); shards 2..kFlowShards+1: endpoints, dealt round-robin.
     net_.set_shards(2 + kFlowShards);
     net_.set_sim_threads(cfg_.sim_threads);
   }
+  // Shard layout, a function of the shard count. With 2 + kFlowShards
+  // shards: shard 0 holds r1 and the forward bottleneck, shard 1 holds r2
+  // and the reverse bottleneck (the bottleneck propagation delay is the
+  // lookahead between them — splitting the routers roughly halves the
+  // busiest shard's event share), and shards 2.. hold one endpoint lane
+  // each, dealt round-robin. A one-shard network puts both routers and its
+  // one lane on shard 0.
+  const bool sharded = net_.num_shards() > 1;
+  const int r2_shard = sharded ? 1 : 0;
   next_flow_ = cfg_.flow_id_base;
   cfg_.tcp.ecn = cfg_.scheme.ecn;
 
-  // Struct-of-arrays arenas for the hot per-flow state, pre-sized for the
-  // configured flow population (later add_flows cohorts that overflow fall
-  // back to inline storage — an optimization lost, not an error).
+  // Struct-of-arrays arenas for the hot per-flow state, one per endpoint
+  // lane, pre-sized for the configured flow population (later add_flows
+  // cohorts that overflow fall back to inline storage — an optimization
+  // lost, not an error).
   const std::int32_t total_paths =
       cfg_.num_fwd_flows + cfg_.num_rev_flows + cfg_.num_web_sessions;
-  const std::int32_t n_arenas = net_.sharded() ? kFlowShards : 1;
+  const std::int32_t n_lanes = sharded ? kFlowShards : 1;
   const std::int32_t per_arena =
-      std::max(1, (total_paths + n_arenas - 1) / n_arenas);
-  for (std::int32_t i = 0; i < n_arenas; ++i)
+      std::max(1, (total_paths + n_lanes - 1) / n_lanes);
+  for (std::int32_t i = 0; i < n_lanes; ++i)
     arenas_.push_back(std::make_unique<tcp::FlowArena>(per_arena));
 
   double min_rtt = cfg_.rtt;
@@ -112,8 +117,7 @@ Dumbbell::Dumbbell(DumbbellConfig cfg)
 
   r1_ = net_.add_node();
   {
-    std::optional<net::Network::ShardCursor> at_r2;
-    if (net_.sharded()) at_r2.emplace(net_, 1);
+    net::Network::ShardCursor at_r2(net_, r2_shard);
     r2_ = net_.add_node();
   }
   std::unique_ptr<net::Queue> fwd_q = make_bottleneck_queue();
@@ -127,8 +131,7 @@ Dumbbell::Dumbbell(DumbbellConfig cfg)
                             std::move(fwd_q));
   {
     // The reverse transmitter (and its queue) run on r2's shard.
-    std::optional<net::Network::ShardCursor> at_r2;
-    if (net_.sharded()) at_r2.emplace(net_, 1);
+    net::Network::ShardCursor at_r2(net_, r2_shard);
     net_.add_link(r2_, r1_, cfg_.bottleneck_bps, bottleneck_delay_,
                   make_bottleneck_queue());
   }
@@ -174,9 +177,10 @@ Dumbbell::Dumbbell(DumbbellConfig cfg)
   net_.finalize_shards();
 
   // The watchdog polls every queue and sender from one shard-0 timer, which
-  // is a cross-shard read under the parallel engine — skip it there (both
-  // sim_threads=1 and =N skip, so the determinism oracle still matches).
-  if (!net_.sharded())
+  // is a cross-shard read under the parallel engine — skip it on two or more
+  // shards (both sim_threads=1 and =N skip, so the determinism oracle still
+  // matches).
+  if (!sharded)
     checker_ = install_standard_invariants(
         net_,
         [this] {
@@ -246,14 +250,15 @@ tcp::TcpSender* Dumbbell::add_flow_path(net::Node* edge_src,
                                         net::Node* edge_dst, double rtt,
                                         net::FlowId flow, sim::Time start,
                                         bool force_sack, bool reverse) {
-  // Endpoint shard for this flow path: everything built below — nodes,
+  // Endpoint lane for this flow path: everything built below — nodes,
   // access queues, sink, sender (and the timers they capture) — belongs to
-  // it. Round-robin over a FIXED shard count so the layout (and with it the
-  // cross-shard event keys) never depends on the worker-thread count.
-  const std::int32_t lane =
-      net_.sharded() ? next_flow_shard_++ % kFlowShards : 0;
-  std::optional<net::Network::ShardCursor> shard_scope;
-  if (net_.sharded()) shard_scope.emplace(net_, 2 + lane);
+  // its shard, one of the last n_lanes shards. Round-robin over a FIXED lane
+  // count so the layout (and with it the cross-shard event keys) never
+  // depends on the worker-thread count.
+  const auto n_lanes = static_cast<std::int32_t>(arenas_.size());
+  const std::int32_t lane = next_lane_++ % n_lanes;
+  net::Network::ShardCursor shard_scope(net_,
+                                        net_.num_shards() - n_lanes + lane);
   cur_arena_ = arenas_[static_cast<std::size_t>(lane)].get();
 
   // One-way budget: rtt/2 = access_src + bottleneck + access_dst.
@@ -283,7 +288,7 @@ void Dumbbell::maybe_start_sampler() {
   if (sampler_started_ || !obs_.sampling_active()) return;
   // validate() rejects observed sharded configs; this catches probes added
   // after construction, which would race the sampler across shards.
-  if (net_.sharded())
+  if (net_.num_shards() > 1)
     throw sim::ConfigError(
         "Dumbbell: observability sampling is not supported with "
         "sim_threads > 0",
@@ -347,7 +352,7 @@ WindowMetrics Dumbbell::measure_window(sim::Time warmup, sim::Time measure) {
 std::vector<std::int32_t> Dumbbell::add_flows(std::int32_t n, sim::Time at) {
   // Topology is frozen once finalize_shards() has routed boundary links
   // through channels; the dynamic-behavior experiment stays single-threaded.
-  if (net_.sharded())
+  if (net_.num_shards() > 1)
     throw sim::ConfigError(
         "Dumbbell: add_flows is not supported with sim_threads > 0",
         "component=Dumbbell param=sim_threads\n");

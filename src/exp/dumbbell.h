@@ -80,15 +80,14 @@ struct DumbbellConfig {
   /// cadence. Off by default; un-observed runs schedule no extra events and
   /// are byte-identical to pre-observability builds.
   obs::ObsConfig obs;
-  /// Parallel engine worker threads. 0 (default) = the classic
-  /// single-scheduler path, byte-identical to previous builds. >= 1
-  /// partitions the topology into two router shards (one per bottleneck
-  /// direction; the bottleneck propagation delay is their lookahead) plus
-  /// kFlowShards endpoint shards (a fixed layout, independent of the
-  /// thread count) and runs the
-  /// conservative engine — results are byte-identical for every value, with
-  /// sim_threads=1 as the oracle. Incompatible with web sessions, dynamic
-  /// add_flows, the watchdog, and observability (see docs/performance.md).
+  /// Parallel engine worker threads. 0 (default) = one shard, run without
+  /// the engine. >= 1 partitions the topology into two router shards (one
+  /// per bottleneck direction; the bottleneck propagation delay is their
+  /// lookahead) plus kFlowShards endpoint shards (a fixed layout,
+  /// independent of the thread count) and runs the conservative engine —
+  /// results are byte-identical for every value >= 1, with sim_threads=1 as
+  /// the oracle. Incompatible with web sessions, dynamic add_flows, the
+  /// watchdog, and observability (see docs/performance.md).
   std::int32_t sim_threads = 0;
 
   /// Rejects an out-of-domain topology with sim::ConfigError before any
@@ -103,9 +102,10 @@ struct DumbbellConfig {
 
 class Dumbbell {
  public:
-  /// Endpoint shards of a sharded (sim_threads >= 1) dumbbell. Fixed — NOT
-  /// derived from sim_threads — so the event-key streams, and therefore the
-  /// results, are identical whether 1 or 8 workers execute them.
+  /// Endpoint shards (and lanes) of a sharded (sim_threads >= 1) dumbbell;
+  /// a one-shard dumbbell has one lane. Fixed — NOT derived from
+  /// sim_threads — so the event-key streams, and therefore the results,
+  /// are identical whether 1 or 8 workers execute them.
   static constexpr std::int32_t kFlowShards = 8;
 
   explicit Dumbbell(DumbbellConfig cfg);
@@ -185,11 +185,12 @@ class Dumbbell {
   std::vector<std::unique_ptr<traffic::WebSession>> web_sessions_;
   std::vector<double> goodputs_;
   net::FlowId next_flow_ = 0;
-  /// Round-robin cursor assigning each flow path to an endpoint shard.
-  std::int32_t next_flow_shard_ = 0;
-  /// Struct-of-arrays backing for per-flow hot state: one arena on the
-  /// classic path, one per endpoint shard when sharded (so parallel workers
-  /// never share a lane, or a cache line, across shards).
+  /// Round-robin cursor assigning each flow path to an endpoint lane.
+  std::int32_t next_lane_ = 0;
+  /// Struct-of-arrays backing for per-flow hot state, one arena per
+  /// endpoint lane: kFlowShards on a sharded network (so parallel workers
+  /// never share a lane, or a cache line, across shards), one on a
+  /// one-shard network.
   std::vector<std::unique_ptr<tcp::FlowArena>> arenas_;
   /// Arena for the flow path currently under construction (set by
   /// add_flow_path, consumed by make_sender).

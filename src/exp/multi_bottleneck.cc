@@ -77,12 +77,11 @@ MultiBottleneck::MultiBottleneck(MultiBottleneckConfig cfg)
          2.0 * cfg_.hosts_per_cloud * 2.0, 10.0}));
   }
 
-  // Shard layout: router i, its hop queues, and every host homed on it live
-  // in shard i (shard 0 when unsharded — the cursor is then a no-op). Only
-  // the router-to-router links cross shards.
-  const auto shard_of = [this](std::int32_t r) {
-    return net_.sharded() ? r : 0;
-  };
+  // Shard layout, a function of the shard count: router i, its hop queues,
+  // and every host homed on it live in shard i, so only the router-to-router
+  // links cross shards. A one-shard network puts all of them on shard 0.
+  const bool sharded = net_.num_shards() > 1;
+  const auto shard_of = [sharded](std::int32_t r) { return sharded ? r : 0; };
 
   for (std::int32_t i = 0; i < cfg_.num_routers; ++i) {
     net::Network::ShardCursor at_r(net_, shard_of(i));
@@ -102,18 +101,16 @@ MultiBottleneck::MultiBottleneck(MultiBottleneckConfig cfg)
     }
   }
 
-  // Struct-of-arrays arenas for per-flow hot state: one per router cloud
-  // when sharded (senders homed on router i use arena i, so no two workers
-  // share a lane), one global arena otherwise. Cloud 0 homes two groups
-  // (its hop group and the long-haul group), hence the 2x per-shard size.
-  if (net_.sharded()) {
-    for (std::int32_t i = 0; i < cfg_.num_routers; ++i)
-      arenas_.push_back(
-          std::make_unique<tcp::FlowArena>(2 * cfg_.hosts_per_cloud));
-  } else {
-    arenas_.push_back(std::make_unique<tcp::FlowArena>(
-        cfg_.num_routers * cfg_.hosts_per_cloud));
-  }
+  // Struct-of-arrays arenas for per-flow hot state, one per shard: senders
+  // homed on router i use shard_of(i)'s, so no two workers share a lane.
+  // A one-shard network's arena holds every sender; on one shard per
+  // router, cloud 0 homes two groups (its hop group and the long-haul
+  // group), hence the 2x per-shard size.
+  const std::int32_t per_arena = sharded
+                                     ? 2 * cfg_.hosts_per_cloud
+                                     : cfg_.num_routers * cfg_.hosts_per_cloud;
+  for (std::int32_t s = 0; s < net_.num_shards(); ++s)
+    arenas_.push_back(std::make_unique<tcp::FlowArena>(per_arena));
 
   net::FlowId flow = 0;
   // Groups 0..n-2: cloud i -> cloud i+1. Last group: cloud 0 -> last cloud.
@@ -158,10 +155,10 @@ MultiBottleneck::MultiBottleneck(MultiBottleneckConfig cfg)
   net_.compute_routes();
   net_.finalize_shards();
 
-  // The watchdog polls cross-shard state from one shard-0 timer; skip it
-  // under the parallel engine (every sim_threads value skips, so the
-  // determinism oracle matches).
-  if (!net_.sharded())
+  // The watchdog polls cross-shard state from one shard-0 timer; skip it on
+  // two or more shards (every sim_threads value skips, so the determinism
+  // oracle matches).
+  if (!sharded)
     checker_ = install_standard_invariants(
         net_,
         [this] {
@@ -220,7 +217,7 @@ void MultiBottleneck::maybe_start_sampler() {
   if (sampler_started_ || !obs_.sampling_active()) return;
   // validate() rejects observed sharded configs; this catches probes added
   // after construction, which would race the sampler across shards.
-  if (net_.sharded())
+  if (net_.num_shards() > 1)
     throw sim::ConfigError(
         "MultiBottleneck: observability sampling is not supported with "
         "sim_threads > 0",

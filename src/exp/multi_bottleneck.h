@@ -32,11 +32,12 @@ struct MultiBottleneckConfig {
   sim::WatchdogOptions watchdog;
   /// Observability (tracing, metric registry, sampling). Off by default.
   obs::ObsConfig obs;
-  /// Parallel engine worker threads. 0 (default) = classic single-scheduler
-  /// path. >= 1 shards the chain one-shard-per-router-cloud (router i plus
-  /// every host homed on it) and runs the conservative engine with the
+  /// Parallel engine worker threads. 0 (default) = one shard, run without
+  /// the engine. >= 1 shards the chain one-shard-per-router-cloud (router i
+  /// plus every host homed on it) and runs the conservative engine with the
   /// router-link propagation delay as lookahead; requires
-  /// router_link_delay > 0. Results are byte-identical for every value.
+  /// router_link_delay > 0. Results are byte-identical for every value
+  /// >= 1.
   std::int32_t sim_threads = 0;
 
   /// Rejects an out-of-domain chain topology with sim::ConfigError before
@@ -56,9 +57,6 @@ class MultiBottleneck {
                                             sim::Time measure);
 
   net::Network& network() noexcept { return net_; }
-  std::int32_t num_hops() const {
-    return static_cast<std::int32_t>(hop_links_.size());
-  }
 
   /// The installed watchdog, or nullptr when cfg.watchdog.enabled is false.
   sim::InvariantChecker* watchdog() noexcept { return checker_.get(); }
@@ -84,8 +82,9 @@ class MultiBottleneck {
   /// senders grouped by source hop: index 0..4 = cloud i -> cloud i+1,
   /// index 5 = cloud 1 -> cloud 6 long-haul.
   std::vector<std::vector<tcp::TcpSender*>> groups_;
-  /// Struct-of-arrays backing for per-flow hot state: arena i serves the
-  /// senders homed on router i when sharded; a single arena otherwise.
+  /// Struct-of-arrays backing for per-flow hot state, one arena per shard:
+  /// arena i serves the senders homed on router i when sharded, and a
+  /// one-shard network's one arena serves every sender.
   std::vector<std::unique_ptr<tcp::FlowArena>> arenas_;
   /// Arena for the sender currently under construction (set in add_group,
   /// consumed by make_sender).

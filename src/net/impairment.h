@@ -206,7 +206,6 @@ class ImpairmentQueue final : public WrapperQueue {
 
   // --- introspection (tests, diagnostics) ---
   std::size_t held() const noexcept { return held_.size(); }
-  bool in_bad_state() const noexcept { return bad_state_; }
   std::uint64_t injected() const noexcept { return injected_; }
   const ImpairmentConfig& config() const noexcept { return cfg_; }
 

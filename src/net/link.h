@@ -73,7 +73,6 @@ class Link {
   /// event, so the receiving node runs on its own shard's scheduler. Set by
   /// Network::finalize_shards(); null (the default) keeps local delivery.
   void set_boundary(ShardChannel* ch) noexcept { boundary_ = ch; }
-  bool is_boundary() const noexcept { return boundary_ != nullptr; }
 
   /// Attaches a tracer (not owned; may be null) for this link and its queue.
   /// Emits "link.tx" (kDebug, per packet) and "link.down"/"link.up" (kWarn)

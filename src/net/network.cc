@@ -9,12 +9,6 @@
 namespace pert::net {
 
 namespace {
-/// Active shard of the current thread. One variable serves every Network in
-/// the process: a thread interleaves shards of at most one sharded network
-/// at a time (builders scope with ShardCursor; engine workers set it per
-/// round), and unsharded networks never read it.
-thread_local int t_shard_cursor = 0;
-
 /// Per node, its (neighbour, link) pairs in link creation order.
 using Adjacency = std::vector<std::vector<std::pair<NodeId, Link*>>>;
 
@@ -37,9 +31,6 @@ std::size_t bfs(const Adjacency& adj, NodeId root, const Found& found) {
 }
 }  // namespace
 
-int Network::cursor() noexcept { return t_shard_cursor; }
-void Network::set_cursor(int s) noexcept { t_shard_cursor = s; }
-
 Network::ShardCursor::ShardCursor(Network& net, int s) : prev_(cursor()) {
   assert(s >= 0 && s < net.num_shards());
   (void)net;
@@ -49,28 +40,19 @@ Network::ShardCursor::ShardCursor(Network& net, int s) : prev_(cursor()) {
 Network::ShardCursor::~ShardCursor() { set_cursor(prev_); }
 
 void Network::set_shards(int n) {
-  sim::require_positive("Network", "shards", static_cast<double>(n));
+  sim::require_at_least("Network", "shards", n, num_shards());
   if (!nodes_.empty() || !links_.empty())
     throw sim::ConfigError(
         "Network: set_shards must precede topology construction",
         "component=Network param=shards nodes=" +
             std::to_string(nodes_.size()) + "\n");
-  sharded_ = true;
-  shard_scheds_.assign(1, &sched_);
-  shard_pools_.assign(1, &pool_);
-  for (int s = 1; s < n; ++s) {
-    extra_pools_.push_back(std::make_unique<PacketPool>());
-    extra_scheds_.push_back(std::make_unique<sim::Scheduler>());
-    shard_pools_.push_back(extra_pools_.back().get());
-    shard_scheds_.push_back(extra_scheds_.back().get());
-  }
-  shard_uids_.assign(static_cast<std::size_t>(n), 1);
+  while (num_shards() < n)
+    shards_.push_back(std::make_unique<Shard>(num_shards()));
 }
 
 void Network::finalize_shards() {
-  if (!sharded_) return;
-  assert(!finalized_ && "finalize_shards called twice");
-  const int n = num_shards();
+  if (num_shards() == 1) return;
+  assert(!engine_ && "finalize_shards called twice");
 
   // One channel per ordered shard pair with crossing links, ids assigned by
   // first appearance in link creation order — a pure function of the
@@ -98,42 +80,42 @@ void Network::finalize_shards() {
   }
 
   engine_ = std::make_unique<sim::Engine>();
-  for (int s = 0; s < n; ++s) {
+  for (int s = 0; s < num_shards(); ++s) {
     // Inbound channels in id order (any fixed order works — final event
     // order is decided by the keys, not drain sequence).
     std::vector<ShardChannel*> in;
     for (const auto& ch : channels_)
       if (ch->to_shard() == s) in.push_back(ch.get());
-    sim::Scheduler* sched = shard_scheds_[static_cast<std::size_t>(s)];
-    PacketPool* pool = shard_pools_[static_cast<std::size_t>(s)];
+    Shard& shard = *shards_[static_cast<std::size_t>(s)];
     // The drain hook doubles as the shard-entry hook: it pins the cursor so
     // agent callbacks executed afterwards (same engine round, same thread)
     // resolve sched()/make_packet() to this shard.
-    engine_->add_shard(sched, [s, in = std::move(in), sched, pool] {
+    engine_->add_shard(&shard.sched, [s, in = std::move(in), &shard] {
       set_cursor(s);
-      for (ShardChannel* ch : in) ch->drain(*sched, *pool);
+      for (ShardChannel* ch : in) ch->drain(shard.sched, shard.pool);
     });
   }
   for (const auto& ch : channels_)
     engine_->add_dependency(ch->from_shard(), ch->to_shard(),
                             ch->lookahead());
-  finalized_ = true;
 }
 
 void Network::run_until(sim::Time t) {
-  if (!sharded_) {
-    sched_.run_until(t);
+  if (num_shards() == 1) {
+    shards_[0]->sched.run_until(t);
     return;
   }
-  assert(finalized_ && "run_until on a sharded network before finalize_shards");
+  assert(engine_ && "run_until on a sharded network before finalize_shards");
+  // Engine workers leave the cursor on their last shard, and at one thread
+  // that is this thread. The scope puts it back on every exit, including a
+  // shard's exception rethrown by the engine.
+  ShardCursor restore(*this, 0);
   engine_->run_until(t, sim_threads_);
-  set_cursor(0);  // workers (or the inline path) left it on their last shard
 }
 
 std::uint64_t Network::total_dispatched() const {
-  if (!sharded_) return sched_.dispatched();
   std::uint64_t total = 0;
-  for (const sim::Scheduler* s : shard_scheds_) total += s->dispatched();
+  for (const auto& s : shards_) total += s->sched.dispatched();
   return total;
 }
 
@@ -142,8 +124,7 @@ Link* Network::add_link(Node* a, Node* b, double rate_bps, sim::Time delay,
   assert(a && b && a != b);
   // The transmitter (and its queue) belong to the source node's shard.
   sim::Scheduler& sched =
-      sharded_ ? *shard_scheds_[static_cast<std::size_t>(node_shard(a))]
-               : sched_;
+      shards_[static_cast<std::size_t>(node_shard(a))]->sched;
   links_.push_back(
       std::make_unique<Link>(sched, *b, rate_bps, delay, std::move(q)));
   Link* l = links_.back().get();

@@ -1,21 +1,23 @@
 // Network: the simulation container.
 //
-// Owns the scheduler, the RNG, and every node/link/agent (C++ Core Guidelines
+// Owns the RNG, the shards, and every node/link/agent (C++ Core Guidelines
 // R.3: everything else holds non-owning raw pointers into this container).
 // Provides topology construction, deterministic shortest-path routing, and
 // the run loop.
 //
-// Sharding (parallel engine): set_shards(n) partitions the simulation into n
-// shards, each with its own Scheduler, PacketPool, and uid space, run
-// concurrently by sim::Engine with link propagation delays as the lookahead
-// (see net/pdes.h and docs/performance.md). A thread-local *shard cursor*
-// routes sched()/make_packet()/now() to the active shard: during topology
-// construction the builder scopes each component with ShardCursor, and at
-// run time each engine worker sets the cursor before touching a shard. An
-// unsharded Network (the default, and the only mode the classic seed path
-// exercises) never consults the cursor beyond one predictable branch.
+// Shards: a network is a list of shards, each a Scheduler, a PacketPool and
+// a uid counter. It starts with one; set_shards(n) grows it for the
+// parallel engine, which runs the shards concurrently with link propagation
+// delays as the lookahead (see net/pdes.h and docs/performance.md). A
+// thread-local *shard cursor* routes sched()/make_packet()/now() to the
+// active shard: during topology construction the builder scopes each
+// component with ShardCursor, and at run time each engine worker sets the
+// cursor before touching a shard. The cursor is 0 outside those scopes, so
+// every accessor reads shard 0 of a one-shard network, and run_until runs
+// that shard's scheduler directly, without the engine.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -36,30 +38,25 @@ namespace pert::net {
 
 class Network {
  public:
-  explicit Network(std::uint64_t seed = 1) : rng_(seed) {}
+  explicit Network(std::uint64_t seed = 1) : rng_(seed) {
+    shards_.push_back(std::make_unique<Shard>(0));
+  }
 
-  /// Scheduler of the *active shard* (thread-local cursor; shard 0 — the
-  /// only shard of an unsharded network — when no cursor is set).
-  sim::Scheduler& sched() noexcept {
-    return sharded_ ? *shard_scheds_[cursor()] : sched_;
-  }
+  /// Scheduler of the *active shard* (this thread's cursor; shard 0 unless
+  /// a ShardCursor or an engine worker set it).
+  sim::Scheduler& sched() noexcept { return shard().sched; }
   sim::Rng& rng() noexcept { return rng_; }
-  sim::Time now() const noexcept {
-    return sharded_ ? shard_scheds_[cursor()]->now() : sched_.now();
-  }
+  sim::Time now() const noexcept { return shard().sched.now(); }
 
   // ---- Sharding (parallel engine) ----
 
-  /// Partitions the simulation into `n` shards (call before building any
-  /// topology). Shard 0 is the network's own scheduler/pool; shards 1..n-1
-  /// get their own. Components constructed while a ShardCursor scopes shard
-  /// s belong to s: their events run on s's scheduler, possibly on a
-  /// different thread than any other shard's.
+  /// Grows the shard list to `n` shards (call before building any
+  /// topology). Shard 0 keeps its scheduler, pool and address; shards
+  /// 1..n-1 get their own. Components constructed while a ShardCursor
+  /// scopes shard s belong to s: their events run on s's scheduler,
+  /// possibly on a different thread than any other shard's.
   void set_shards(int n);
-  bool sharded() const noexcept { return sharded_; }
-  int num_shards() const noexcept {
-    return sharded_ ? static_cast<int>(shard_scheds_.size()) : 1;
-  }
+  int num_shards() const noexcept { return static_cast<int>(shards_.size()); }
 
   /// Scopes construction (or any direct access) to one shard: while alive,
   /// sched()/make_packet()/now() on this thread address shard `s`.
@@ -74,25 +71,26 @@ class Network {
     int prev_;
   };
 
-  /// Shard owning a node (0 for every node of an unsharded network).
+  /// Shard owning a node (the cursor's shard when the node was added).
   int node_shard(const Node* n) const {
-    return sharded_ ? node_shard_[static_cast<std::size_t>(n->id())] : 0;
+    return node_shard_[static_cast<std::size_t>(n->id())];
   }
 
-  /// Call once after the topology is complete (and before run_until): walks
-  /// every link, routes cross-shard ones through per-shard-pair channels
-  /// (lookahead = min propagation delay over the pair's links; zero-delay
-  /// cross-shard links are a ConfigError), and assembles the engine.
+  /// Call once after the topology is complete (and before run_until) on a
+  /// network of two or more shards: walks every link, routes cross-shard
+  /// ones through per-shard-pair channels (lookahead = min propagation delay
+  /// over the pair's links; zero-delay cross-shard links are a ConfigError),
+  /// and assembles the engine. Does nothing on a one-shard network.
   void finalize_shards();
 
-  /// Worker threads for sharded runs (clamped to [1, num_shards()] by the
-  /// engine). Results are byte-identical for every value; 1 is the oracle.
+  /// Worker threads for runs of two or more shards (clamped to
+  /// [1, num_shards()] by the engine). Results are byte-identical for every
+  /// value; 1 is the oracle.
   void set_sim_threads(int threads) noexcept { sim_threads_ = threads; }
-  int sim_threads() const noexcept { return sim_threads_; }
 
   Node* add_node() {
     nodes_.push_back(std::make_unique<Node>(static_cast<NodeId>(nodes_.size())));
-    if (sharded_) node_shard_.push_back(cursor());
+    node_shard_.push_back(cursor());
     return nodes_.back().get();
   }
 
@@ -153,67 +151,66 @@ class Network {
     return raw;
   }
 
-  /// Hands out a packet with a unique uid, recycled from the pool when
-  /// possible (steady-state simulation allocates no packets). Sharded
-  /// networks draw from the active shard's pool, with the shard index in
-  /// the uid's top byte so uids stay globally unique across uid spaces.
+  /// Hands out a packet from the active shard's pool, recycled when possible
+  /// (steady-state simulation allocates no packets). Its uid is unique
+  /// across the network: the shard index sits in the top byte, so shard 0
+  /// counts 1, 2, 3, ...
   PacketPtr make_packet() {
-    if (!sharded_) {
-      auto p = pool_.acquire();
-      p->uid = next_uid_++;
-      return p;
-    }
-    const int s = cursor();
-    auto p = shard_pools_[s]->acquire();
-    p->uid = (static_cast<std::uint64_t>(s) << 56) | shard_uids_[s]++;
+    Shard& s = shard();
+    auto p = s.pool.acquire();
+    p->uid = s.next_uid++;
     return p;
   }
 
-  /// The packet recycling pool (stats inspection; tests assert steady-state
-  /// allocation-freedom through this). Cursor-routed when sharded.
-  PacketPool& packet_pool() noexcept {
-    return sharded_ ? *shard_pools_[cursor()] : pool_;
-  }
-  const PacketPool& packet_pool() const noexcept { return pool_; }
+  /// The active shard's packet recycling pool (stats inspection; tests
+  /// assert steady-state allocation-freedom through this).
+  PacketPool& packet_pool() noexcept { return shard().pool; }
 
-  /// Runs to time t (inclusive). Sharded networks run the parallel engine
-  /// with sim_threads() workers; finalize_shards() must have been called.
+  /// Runs to time t (inclusive). A one-shard network runs its scheduler
+  /// directly; more shards run the parallel engine with the
+  /// set_sim_threads() worker count, after finalize_shards().
   void run_until(sim::Time t);
 
-  /// Events dispatched across all shards (== sched().dispatched() when
-  /// unsharded). Deterministic for any thread count.
+  /// Events dispatched across all shards. Deterministic for any thread
+  /// count.
   std::uint64_t total_dispatched() const;
 
  private:
-  /// Active shard for this thread (always 0 when unsharded). Out of line:
-  /// the thread_local lives in network.cc.
-  static int cursor() noexcept;
-  static void set_cursor(int s) noexcept;
+  struct Shard {
+    explicit Shard(int index)
+        : next_uid((static_cast<std::uint64_t>(index) << 56) | 1) {}
+    /// Declared first so it is destroyed last: packets still held by
+    /// pending events release into a live pool during teardown.
+    PacketPool pool;
+    sim::Scheduler sched;
+    std::uint64_t next_uid;
+  };
 
-  /// Declared first so it is destroyed last: packets still held by queues,
-  /// links, agents, or pending scheduler events release into a live pool
-  /// during teardown.
-  PacketPool pool_;
-  /// Pools of shards 1..n-1 — same teardown rule, so they precede the
-  /// schedulers and containers below.
-  std::vector<std::unique_ptr<PacketPool>> extra_pools_;
-  sim::Scheduler sched_;
-  std::vector<std::unique_ptr<sim::Scheduler>> extra_scheds_;
+  Shard& shard() const noexcept {
+    assert(cursor() < num_shards() && "stale shard cursor");
+    return *shards_[static_cast<std::size_t>(cursor())];
+  }
+
+  /// Active shard of the current thread. One variable serves every Network
+  /// in the process: a thread interleaves shards of at most one network of
+  /// two or more shards at a time (builders scope with ShardCursor; engine
+  /// workers set it per round), and every exit from those scopes and from
+  /// run_until puts it back.
+  static constinit inline thread_local int t_cursor = 0;
+  static int cursor() noexcept { return t_cursor; }
+  static void set_cursor(int s) noexcept { t_cursor = s; }
+
+  /// Declared first so they are destroyed last: the nodes, links, agents
+  /// and channels below hold packets and timers of some shard.
+  std::vector<std::unique_ptr<Shard>> shards_;
   sim::Rng rng_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Edge> edges_;
   std::vector<std::unique_ptr<Agent>> agents_;
-  std::uint64_t next_uid_ = 1;
-
-  // ---- sharded-mode state (empty and untouched when !sharded_) ----
-  bool sharded_ = false;
-  bool finalized_ = false;
-  int sim_threads_ = 1;
-  std::vector<sim::Scheduler*> shard_scheds_;  // [0] = &sched_
-  std::vector<PacketPool*> shard_pools_;       // [0] = &pool_
-  std::vector<std::uint64_t> shard_uids_;
   std::vector<int> node_shard_;  // indexed by NodeId
+  int sim_threads_ = 1;
+  // ---- built by finalize_shards() on two or more shards ----
   std::vector<std::unique_ptr<ShardChannel>> channels_;
   std::unique_ptr<sim::Engine> engine_;
 };

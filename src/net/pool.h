@@ -14,9 +14,10 @@
 //     Packet::pool_ref back-pointer.
 //   - Copying a Packet never copies pool membership (PoolRef resets on
 //     copy), so a copy is a plain heap packet deleted normally.
-//   - The pool must outlive every packet it ever issued: Network declares
-//     its pool before the scheduler and containers, so teardown releases
-//     in-flight packets into a still-live pool.
+//   - The pool must outlive every packet it ever issued: each Network shard
+//     declares its pool before its scheduler, and Network declares its
+//     shards before its containers, so teardown releases in-flight packets
+//     into a still-live pool.
 #pragma once
 
 #include <cstdint>

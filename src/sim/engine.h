@@ -62,8 +62,6 @@ class Engine {
   /// conservative parallelism and must stay inside one shard.
   void add_dependency(int from, int to, Time lookahead);
 
-  std::size_t num_shards() const noexcept { return shards_.size(); }
-
   /// Runs every shard through simulated time T (inclusive, matching
   /// Scheduler::run_until) on `threads` workers. Shards are distributed
   /// round-robin across workers; threads are clamped to [1, num_shards()].

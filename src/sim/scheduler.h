@@ -120,9 +120,6 @@ class Scheduler {
   void set_instant_event_limit(std::uint64_t limit) noexcept {
     instant_event_limit_ = limit;
   }
-  std::uint64_t instant_event_limit() const noexcept {
-    return instant_event_limit_;
-  }
 
   /// Attaches a tracer for dispatch-level events (not owned; may be null).
   /// Emits "sched.dispatch" (kDebug) per dispatched event with the pending

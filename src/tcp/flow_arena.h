@@ -17,9 +17,10 @@
 // arena an optimization rather than a capacity constraint (dynamic
 // add_flows cohorts may overflow a pre-sized arena mid-run).
 //
-// Sharded scenarios (Network::set_shards) create one arena per endpoint
-// shard so parallel workers never write into the same lane — or the same
-// cache line — as a neighbour shard.
+// Scenarios create one arena per endpoint shard so parallel workers never
+// write into the same lane — or the same cache line — as a neighbour shard.
+// A one-shard network (sim_threads = 0, run without the engine) has one
+// arena for every flow.
 #pragma once
 
 #include <cstdint>

@@ -23,11 +23,12 @@ TcpSender::TcpSender(net::Network& net, TcpConfig cfg, net::FlowId flow,
     : cwnd_(slot >= 0 ? cfg.arena->cwnd(slot) : cwnd_inline_),
       ssthresh_(slot >= 0 ? cfg.arena->ssthresh(slot) : ssthresh_inline_),
       net_(&net),
+      sched_(&net.sched()),
       cfg_(cfg),
       flow_(flow),
       arena_slot_(slot),
       ops_(ops),
-      rto_timer_(net.sched(), [this] { on_rto(); }) {
+      rto_timer_(*sched_, [this] { on_rto(); }) {
   cfg_.validate();
   cwnd_ = cfg_.initial_cwnd;
   ssthresh_ = cfg_.initial_ssthresh;
@@ -58,7 +59,7 @@ void TcpSender::connect(net::NodeId dst, std::int32_t dst_port) {
 
 void TcpSender::start(sim::Time at) {
   assert(dst_ != net::kNoNode && "connect() before start()");
-  net_->sched().schedule_at(at, [this] { try_send(); });
+  sched_->schedule_at(at, [this] { try_send(); });
 }
 
 void TcpSender::start_transfer(std::int64_t pkts, bool fresh_slow_start) {

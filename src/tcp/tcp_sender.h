@@ -129,7 +129,7 @@ class TcpSender : public net::Agent {
   /// Used by ECN response and PERT's early response.
   void multiplicative_decrease(double beta);
 
-  sim::Time now() const noexcept { return net_->now(); }
+  sim::Time now() const noexcept { return sched_->now(); }
   net::Network& network() noexcept { return *net_; }
   void bump_early_responses() noexcept { ++st_.early_responses; }
   bool has_data_outstanding() const noexcept { return next_seq_ > snd_una_; }
@@ -204,6 +204,10 @@ class TcpSender : public net::Agent {
   }
 
   net::Network* net_;
+  /// The scheduler of the shard this sender was built on, where all its
+  /// events run: now(), called several times per ACK, reads it without the
+  /// network's shard cursor.
+  sim::Scheduler* sched_;
   TcpConfig cfg_;
   net::FlowId flow_;
   std::int32_t arena_slot_ = -1;

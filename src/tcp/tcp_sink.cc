@@ -60,7 +60,6 @@ void TcpSink::receive(net::PacketPtr p) {
   if (p->is_ack) return;  // not our role
 
   ++rx_pkts_;
-  rx_bytes_ += p->size_bytes - TcpConfig::header_bytes;
 
   // RFC 3168: echo ECE on every ACK from the first CE until the sender's
   // CWR arrives; a CE in the same packet as CWR re-arms the echo.
@@ -88,7 +87,6 @@ void TcpSink::send_ack(const net::Packet& seg) {
   ack->ts_echo = seg.ts_echo;
   ack->ts_rx = net_->now();
   fill_sack(*ack);
-  ++acks_sent_;
   node()->send(std::move(ack));
 }
 

@@ -24,10 +24,7 @@ class TcpSink final : public net::Agent {
   /// Next expected in-order sequence (== count of in-order packets received).
   std::int64_t rcv_next() const noexcept { return rcv_next_; }
   std::int64_t total_rx_pkts() const noexcept { return rx_pkts_; }
-  std::int64_t total_rx_bytes() const noexcept { return rx_bytes_; }
   std::uint64_t ce_marks_seen() const noexcept { return ce_seen_; }
-
-  std::int64_t acks_sent() const noexcept { return acks_sent_; }
 
  private:
   void note_received(std::int64_t seq);
@@ -38,8 +35,6 @@ class TcpSink final : public net::Agent {
   net::Network* net_;
   std::int64_t rcv_next_ = 0;
   std::int64_t rx_pkts_ = 0;
-  std::int64_t rx_bytes_ = 0;
-  std::int64_t acks_sent_ = 0;
   std::uint64_t ce_seen_ = 0;
   bool ece_pending_ = false;
 
