@@ -23,7 +23,6 @@
 #include "sim/random.h"
 #include "sim/timer.h"
 #include "sim/validate.h"
-#include "tcp/flow_arena.h"
 #include "tcp/tcp_sender.h"
 
 namespace pert::core {
@@ -57,8 +56,9 @@ class SampledPertSender final : public tcp::TcpSender {
     return state().controller.probability();
   }
 
-  /// The ops table. init forks the network RNG and starts the sampling
-  /// timer; same init_arg lifetime contract as cubic_ops.
+  /// The ops table. init validates the config, forks the network RNG and
+  /// starts the sampling timer; same init_arg lifetime contract as
+  /// cubic_ops.
   static tcp::CongestionOps ops(const Config& cfg) {
     tcp::CongestionOps o;
     o.name = Controller::kCcName;
@@ -96,6 +96,8 @@ class SampledPertSender final : public tcp::TcpSender {
 
   static void init(tcp::CcHost& h, void* priv) {
     const auto& cfg = *static_cast<const Config*>(h.ops().init_arg);
+    cfg.design.validate();
+    cfg.pert.validate();
     tcp::TcpSender* sender = &h.sender();
     // Brace-init evaluates left to right, reproducing the legacy member
     // order: controller, estimator, RNG fork, then the timer.
@@ -105,13 +107,6 @@ class SampledPertSender final : public tcp::TcpSender {
         sim::Timer(h.net().sched(),
                    [sender, priv] { tick(*sender, st(priv)); }),
         cfg.pert};
-    cfg.design.validate();
-    cfg.pert.validate();
-    if (h.arena_slot() >= 0) {
-      tcp::FlowArena& a = *h.arena();
-      s->estimator.bind(&a.srtt99(h.arena_slot()), &a.min_rtt(h.arena_slot()),
-                        &a.srtt_seeded(h.arena_slot()));
-    }
     s->sample_timer.schedule_in(cfg.design.sample_interval);
   }
 

@@ -225,12 +225,13 @@ std::unique_ptr<net::Queue> Dumbbell::make_bottleneck_queue() {
   return net::QdiscRegistry::instance().make(cfg_.scheme.qdisc, qc);
 }
 
-tcp::TcpSender* Dumbbell::make_sender(net::FlowId flow, bool force_sack) {
+tcp::TcpSender* Dumbbell::make_sender(net::FlowId flow, bool force_sack,
+                                      tcp::FlowArena* arena) {
   tcp::CcContext cx;
   cx.net = &net_;
   cx.tcp = cfg_.tcp;
   cx.tcp.ecn = force_sack ? false : cfg_.scheme.ecn;
-  cx.tcp.arena = cur_arena_;
+  cx.tcp.arena = arena;
   cx.flow = flow;
   cx.pps = cfg_.bottleneck_bps / (8.0 * cfg_.tcp.seg_bytes());
   cx.n_flows = std::max(1, cfg_.num_fwd_flows);
@@ -259,7 +260,6 @@ tcp::TcpSender* Dumbbell::add_flow_path(net::Node* edge_src,
   const std::int32_t lane = next_lane_++ % n_lanes;
   net::Network::ShardCursor shard_scope(net_,
                                         net_.num_shards() - n_lanes + lane);
-  cur_arena_ = arenas_[static_cast<std::size_t>(lane)].get();
 
   // One-way budget: rtt/2 = access_src + bottleneck + access_dst.
   const double access_delay =
@@ -277,7 +277,8 @@ tcp::TcpSender* Dumbbell::add_flow_path(net::Node* edge_src,
   auto* sink = net_.add_agent<tcp::TcpSink>(dst, kPort, net_);
   if (!reverse) fwd_sinks_.push_back(sink);
 
-  tcp::TcpSender* sender = make_sender(flow, force_sack);
+  tcp::TcpSender* sender = make_sender(
+      flow, force_sack, arenas_[static_cast<std::size_t>(lane)].get());
   src->bind(*sender, kPort);
   sender->connect(dst->id(), kPort);
   if (start >= 0) sender->start(start);

@@ -155,7 +155,8 @@ class Dumbbell {
 
  private:
   std::unique_ptr<net::Queue> make_bottleneck_queue();
-  tcp::TcpSender* make_sender(net::FlowId flow, bool force_sack);
+  tcp::TcpSender* make_sender(net::FlowId flow, bool force_sack,
+                              tcp::FlowArena* arena);
   /// Periodic observability sample; self-rescheduling while active.
   void sample_tick();
   /// Starts the sampling timer once, iff anything is listening. Called at
@@ -192,9 +193,6 @@ class Dumbbell {
   /// never share a lane, or a cache line, across shards), one on a
   /// one-shard network.
   std::vector<std::unique_ptr<tcp::FlowArena>> arenas_;
-  /// Arena for the flow path currently under construction (set by
-  /// add_flow_path, consumed by make_sender).
-  tcp::FlowArena* cur_arena_ = nullptr;
   std::unique_ptr<sim::InvariantChecker> checker_;
 
   obs::Observability obs_;

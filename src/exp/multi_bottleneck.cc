@@ -139,8 +139,8 @@ MultiBottleneck::MultiBottleneck(MultiBottleneckConfig cfg)
         net_.add_agent<tcp::TcpSink>(dst, kPort, net_);
       }
       net::Network::ShardCursor at_src(net_, shard_of(src_r));
-      cur_arena_ = arenas_[static_cast<std::size_t>(shard_of(src_r))].get();
-      tcp::TcpSender* s = make_sender(flow++);
+      tcp::TcpSender* s = make_sender(
+          flow++, arenas_[static_cast<std::size_t>(shard_of(src_r))].get());
       src->bind(*s, kPort);
       s->connect(dst->id(), kPort);
       s->start(net_.rng().uniform(0.0, cfg_.start_window));
@@ -197,11 +197,12 @@ std::unique_ptr<net::Queue> MultiBottleneck::make_queue() {
   return net::QdiscRegistry::instance().make(cfg_.scheme.qdisc, qc);
 }
 
-tcp::TcpSender* MultiBottleneck::make_sender(net::FlowId flow) {
+tcp::TcpSender* MultiBottleneck::make_sender(net::FlowId flow,
+                                             tcp::FlowArena* arena) {
   tcp::CcContext cx;
   cx.net = &net_;
   cx.tcp = cfg_.tcp;
-  cx.tcp.arena = cur_arena_;
+  cx.tcp.arena = arena;
   cx.flow = flow;
   cx.pps = cfg_.router_link_bps / (8.0 * cfg_.tcp.seg_bytes());
   cx.n_flows = cfg_.hosts_per_cloud;

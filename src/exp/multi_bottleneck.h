@@ -69,7 +69,7 @@ class MultiBottleneck {
   void add_probe(obs::Probe* p) { obs_.add_probe(p); }
 
  private:
-  tcp::TcpSender* make_sender(net::FlowId flow);
+  tcp::TcpSender* make_sender(net::FlowId flow, tcp::FlowArena* arena);
   std::unique_ptr<net::Queue> make_queue();
   void sample_tick();
   void maybe_start_sampler();
@@ -86,9 +86,6 @@ class MultiBottleneck {
   /// arena i serves the senders homed on router i when sharded, and a
   /// one-shard network's one arena serves every sender.
   std::vector<std::unique_ptr<tcp::FlowArena>> arenas_;
-  /// Arena for the sender currently under construction (set in add_group,
-  /// consumed by make_sender).
-  tcp::FlowArena* cur_arena_ = nullptr;
   std::unique_ptr<sim::InvariantChecker> checker_;
 
   obs::Observability obs_;

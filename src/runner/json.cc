@@ -263,6 +263,12 @@ void dump_rec(const JsonValue& v, std::string& out, int indent, int depth) {
 
 }  // namespace
 
+JsonValue::JsonValue(const JsonValue&) = default;
+JsonValue::JsonValue(JsonValue&&) noexcept = default;
+JsonValue& JsonValue::operator=(const JsonValue&) = default;
+JsonValue& JsonValue::operator=(JsonValue&&) noexcept = default;
+JsonValue::~JsonValue() = default;
+
 const JsonValue& JsonValue::at(std::string_view key) const {
   if (const JsonValue* v = find(key)) return *v;
   throw std::out_of_range("json object has no key: " + std::string(key));

@@ -52,6 +52,15 @@ class JsonValue {
   JsonValue(Array a) : v_(std::move(a)) {}
   JsonValue(Object o) : v_(std::move(o)) {}
 
+  // Defaulted out of line (json.cc): inlined into every function that builds
+  // a document, the variant's copies and moves draw GCC 12
+  // -Wmaybe-uninitialized false positives from inside std::vector.
+  JsonValue(const JsonValue&);
+  JsonValue(JsonValue&&) noexcept;
+  JsonValue& operator=(const JsonValue&);
+  JsonValue& operator=(JsonValue&&) noexcept;
+  ~JsonValue();
+
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(v_); }
   bool is_bool() const { return std::holds_alternative<bool>(v_); }
   bool is_double() const { return std::holds_alternative<double>(v_); }

@@ -7,13 +7,6 @@
 
 #include "runner/journal.h"
 
-// GCC 12 -Wmaybe-uninitialized fires spuriously on std::variant move
-// construction when an alternative is a vector (gcc PR 105593 family); every
-// site below moves a freshly constructed scalar-armed JsonValue.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
 namespace pert::runner {
 
 namespace {

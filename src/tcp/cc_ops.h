@@ -13,10 +13,10 @@
 // narrow facade over the sender's congestion surface: cwnd/ssthresh
 // references (arena-backed when a FlowArena row exists), the clock, the RNG
 // owner, tracing, and the multiplicative-decrease helper. Private state is
-// placement-constructed by `init` into a slot sized by `priv_size`; the
-// per-flow hot doubles (cwnd, ssthresh, the PERT estimator lanes) still live
-// in `tcp::FlowArena` rows — a module binds its lanes in `init` exactly as
-// the subclasses once did in their constructors.
+// placement-constructed by `init` into a slot sized by `priv_size`, and all
+// of a module's per-flow state lives there as plain members (PERT's
+// srtt_0.99 estimator and early-response stamp included); only the
+// sender's own cwnd and ssthresh live in `tcp::FlowArena` rows.
 //
 // See docs/extending.md for a worked example (the CUBIC module).
 #pragma once

@@ -1,16 +1,16 @@
-// Struct-of-arrays storage for hot per-flow congestion state.
+// Struct-of-arrays storage for each sender's cwnd and ssthresh.
 //
-// A scenario with a thousand flows touches every flow's cwnd, ssthresh,
-// srtt_0.99 EWMA, and min-RTT on every ACK; as individual sender members
-// those live ~200 bytes apart and each ACK costs a cold cache line. A
-// FlowArena packs each quantity into its own contiguous lane so the per-ACK
-// working set of the whole scenario is a handful of sequential lines.
+// A scenario with a thousand flows touches every flow's cwnd and ssthresh
+// on every ACK; a FlowArena packs each into its own contiguous lane. The
+// arena holds nothing else: a congestion-control module keeps its own
+// per-flow state (PERT's srtt_0.99 estimator, its early-response stamp) as
+// plain members of its private-state slot (tcp/cc_ops.h).
 //
 // Senders do not index the arena on the hot path: TcpSender binds reference
-// members (and SrttEstimator binds pointers) to their lane entries once at
-// construction, so every existing use site compiles — and costs — exactly
-// as before. The lanes are pre-sized at construction and never resized, so
-// those references stay valid for the arena's lifetime.
+// members to its lane entries once at construction, so every use site
+// compiles — and costs — exactly as before. The lanes are pre-sized at
+// construction and never resized, so those references stay valid for the
+// arena's lifetime.
 //
 // acquire() hands out slots monotonically and returns -1 when the arena is
 // full; callers fall back to inline per-sender storage, which keeps the
@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "sim/validate.h"
@@ -38,10 +37,6 @@ class FlowArena {
     const auto n = static_cast<std::size_t>(capacity);
     cwnd_.assign(n, 0.0);
     ssthresh_.assign(n, 0.0);
-    srtt99_.assign(n, 0.0);
-    min_rtt_.assign(n, std::numeric_limits<double>::infinity());
-    srtt_seeded_.assign(n, 0.0);
-    last_early_.assign(n, 0.0);
   }
 
   // Lanes never move after construction: references into them are stable.
@@ -63,29 +58,11 @@ class FlowArena {
   double& ssthresh(std::int32_t i) {
     return ssthresh_[static_cast<std::size_t>(i)];
   }
-  double& srtt99(std::int32_t i) {
-    return srtt99_[static_cast<std::size_t>(i)];
-  }
-  double& min_rtt(std::int32_t i) {
-    return min_rtt_[static_cast<std::size_t>(i)];
-  }
-  /// EWMA seeded flag as 0.0/1.0 so every lane is a double (uniform SIMD-
-  /// friendly layout; a bool lane would be the lone byte-stride array).
-  double& srtt_seeded(std::int32_t i) {
-    return srtt_seeded_[static_cast<std::size_t>(i)];
-  }
-  double& last_early(std::int32_t i) {
-    return last_early_[static_cast<std::size_t>(i)];
-  }
 
  private:
   std::int32_t used_ = 0;
   std::vector<double> cwnd_;
   std::vector<double> ssthresh_;
-  std::vector<double> srtt99_;
-  std::vector<double> min_rtt_;
-  std::vector<double> srtt_seeded_;
-  std::vector<double> last_early_;
 };
 
 }  // namespace pert::tcp

@@ -24,11 +24,11 @@ struct TcpConfig {
   double max_cwnd = 1e9;             ///< packets; cap for pathological cases
   /// RTO before the first RTT sample (RFC 6298 suggests 1 s; ns-2 uses 3 s).
   double initial_rto = 3.0;
-  /// Optional struct-of-arrays backing store (tcp/flow_arena.h) for the hot
-  /// per-flow state (cwnd, ssthresh, srtt99, min_rtt, ...). Not owned; must
-  /// outlive every sender built with this config. nullptr (default) keeps
-  /// state inline in the sender. Either way the arithmetic is identical —
-  /// this only moves where the doubles live.
+  /// Optional struct-of-arrays backing store (tcp/flow_arena.h) for the
+  /// sender's cwnd and ssthresh. Not owned; must outlive every sender built
+  /// with this config. nullptr (default) keeps them inline in the sender.
+  /// Either way the arithmetic is identical — this only moves where the
+  /// doubles live.
   FlowArena* arena = nullptr;
 
   static constexpr std::int32_t seg_bytes() noexcept {

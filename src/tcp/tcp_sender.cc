@@ -26,7 +26,6 @@ TcpSender::TcpSender(net::Network& net, TcpConfig cfg, net::FlowId flow,
       sched_(&net.sched()),
       cfg_(cfg),
       flow_(flow),
-      arena_slot_(slot),
       ops_(ops),
       rto_timer_(*sched_, [this] { on_rto(); }) {
   cfg_.validate();

@@ -134,12 +134,6 @@ class TcpSender : public net::Agent {
   void bump_early_responses() noexcept { ++st_.early_responses; }
   bool has_data_outstanding() const noexcept { return next_seq_ > snd_una_; }
 
-  /// Arena slot backing this sender's hot state, or -1 when it fell back to
-  /// the inline fields (no arena configured, or the arena was full).
-  /// Modules bind their own lanes (PERT's estimator) to the same row.
-  std::int32_t arena_slot() const noexcept { return arena_slot_; }
-  FlowArena* arena() const noexcept { return cfg_.arena; }
-
   /// Hot congestion state. References, so every use site reads/writes them
   /// exactly as before: they bind either to this sender's inline fields
   /// or — when cfg.arena has a free slot — to the flow's row in the
@@ -210,7 +204,6 @@ class TcpSender : public net::Agent {
   sim::Scheduler* sched_;
   TcpConfig cfg_;
   net::FlowId flow_;
-  std::int32_t arena_slot_ = -1;
   /// Fallback storage for cwnd_/ssthresh_ when no arena row was available.
   double cwnd_inline_ = 0.0;
   double ssthresh_inline_ = 0.0;
@@ -286,8 +279,6 @@ class CcHost {
 
   obs::Tracer* tracer() const noexcept { return s_->tracer_; }
   std::uint32_t trace_id() const noexcept { return s_->trace_id(); }
-  std::int32_t arena_slot() const noexcept { return s_->arena_slot_; }
-  FlowArena* arena() const noexcept { return s_->cfg_.arena; }
 
  private:
   TcpSender* s_;

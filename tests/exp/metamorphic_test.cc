@@ -105,8 +105,11 @@ TEST(MetamorphicRelations, RescaleGuardExcludesNonScaleFreeSchemes) {
   // so the k = 2 rescale identity does not apply to it.
   Scenario s = small_pert_scenario();
   s.scheme = parse_scheme_spec("pert-pi");
-  for (const RelationResult& r : check_relations(s))
-    if (r.relation == "rescale") EXPECT_FALSE(r.applicable);
+  for (const RelationResult& r : check_relations(s)) {
+    if (r.relation == "rescale") {
+      EXPECT_FALSE(r.applicable);
+    }
+  }
 }
 
 TEST(MetamorphicRelations, RescaleGuardExcludesFlooredDimensions) {
@@ -114,8 +117,11 @@ TEST(MetamorphicRelations, RescaleGuardExcludesFlooredDimensions) {
   // 0.5 ms floor; a binding floor breaks the exact-scaling argument.
   Scenario s = small_pert_scenario();
   s.rtt = 0.008;
-  for (const RelationResult& r : check_relations(s))
-    if (r.relation == "rescale") EXPECT_FALSE(r.applicable);
+  for (const RelationResult& r : check_relations(s)) {
+    if (r.relation == "rescale") {
+      EXPECT_FALSE(r.applicable);
+    }
+  }
 }
 
 TEST(RunMetamorphic, SmokeWithCornersDisabled) {

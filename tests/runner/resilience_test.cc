@@ -62,7 +62,12 @@ TEST(Resilience, FailedCellLeavesSiblingsIdenticalAndReachesTheJournal) {
   // Siblings byte-identical to a clean run of the same cells.
   std::vector<Job> clean;
   for (int i = 0; i < 5; ++i) clean.push_back(quick_job(i));
-  const RunReport ref = run(clean, RunnerOptions{.threads = 1});
+  const RunReport ref = run(clean, RunnerOptions{.threads = 1,
+                                                 .progress = true,
+                                                 .name = "experiments",
+                                                 .journal_path = "",
+                                                 .resume = false,
+                                                 .shard = {}});
   for (int i : {0, 1, 3, 4}) {
     EXPECT_TRUE(rep.results[i].ok);
     EXPECT_EQ(rep.results[i].status, JobStatus::kOk);
@@ -99,7 +104,12 @@ TEST(Resilience, InvariantViolationCarriesDiagnostics) {
         "invariant 'queue-conservation' violated: link 0: 2 packets missing",
         "sim time: 12.5\n  link 0: len=-1\n");
   };
-  const RunReport rep = run(jobs, RunnerOptions{.threads = 2});
+  const RunReport rep = run(jobs, RunnerOptions{.threads = 2,
+                                                .progress = true,
+                                                .name = "experiments",
+                                                .journal_path = "",
+                                                .resume = false,
+                                                .shard = {}});
   EXPECT_EQ(rep.status, "partial");
   EXPECT_EQ(rep.results[0].status, JobStatus::kInvariantViolation);
   EXPECT_NE(rep.results[0].error.find("queue-conservation"),
