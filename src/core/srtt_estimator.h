@@ -34,11 +34,6 @@ class SrttEstimator {
     return ready() ? std::max(0.0, srtt() - min_) : 0.0;
   }
 
-  void reset() noexcept {
-    srtt_.reset();
-    min_ = std::numeric_limits<double>::infinity();
-  }
-
   /// Numeric sentinel: once seeded, the EWMA and the propagation-delay
   /// estimate must stay finite and non-negative (one absorbed NaN sample
   /// poisons both forever). "" while healthy.

@@ -1,5 +1,6 @@
 #include "exp/scheme.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <mutex>
 #include <utility>
@@ -32,15 +33,9 @@ constexpr SchemeAlias kAliases[] = {
     {"sack-droptail", "Sack/Droptail", "sack", "droptail", false},
 };
 
-[[noreturn]] void throw_unknown(const std::string& what,
-                                const std::string& name,
-                                const std::string& hint,
-                                const std::vector<std::string>& candidates) {
-  std::string msg = "unknown " + what + ": '" + name + "'";
-  if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-  std::string known = "known names:";
-  for (const std::string& c : candidates) known += " " + c;
-  throw sim::ConfigError(msg, known);
+bool is_alias(std::string_view name) {
+  return std::ranges::any_of(
+      kAliases, [name](const SchemeAlias& a) { return a.alias == name; });
 }
 
 /// "cc/qdisc", plus "+ecn" when ECN is on or "-ecn" when it is off against
@@ -72,18 +67,13 @@ void ensure_scheme_modules() {
 
 void require_registered(const SchemeSpec& s, std::string_view component) {
   ensure_scheme_modules();
-  const auto& ccs = tcp::CcRegistry::instance();
-  const auto& qds = net::QdiscRegistry::instance();
-  const bool cc_known = ccs.find(s.cc) != nullptr;
-  if (cc_known && qds.find(s.qdisc) != nullptr) return;
-  std::string msg = std::string(component) + ": unknown scheme '" + s.cc +
-                    "/" + s.qdisc + "'";
-  if (const std::string hint = cc_known ? qds.suggestion_for(s.qdisc)
-                                        : ccs.suggestion_for(s.cc);
-      !hint.empty())
-    msg += " (did you mean '" + hint + "'?)";
-  throw sim::ConfigError(
-      msg, "component=" + std::string(component) + " param=scheme\n");
+  try {
+    tcp::CcRegistry::instance().at(s.cc);
+    net::QdiscRegistry::instance().at(s.qdisc);
+  } catch (const sim::ConfigError& e) {
+    throw sim::ConfigError(std::string(component) + ": " + e.what(),
+                           e.diagnostics());
+  }
 }
 
 SchemeSpec parse_scheme_spec(std::string_view text) {
@@ -100,14 +90,21 @@ SchemeSpec parse_scheme_spec(std::string_view text) {
   if (slash == std::string_view::npos) {
     // Not an alias and not a combination: suggest across both the alias
     // table and the CC module names (a bare module name is the most common
-    // near-miss for "cc/qdisc"); a module name still needs a discipline.
+    // near-miss for "cc/qdisc"). An alias is suggested as it is; a module
+    // name that is no alias still needs a discipline.
     std::vector<std::string> candidates;
     for (const SchemeAlias& a : kAliases) candidates.emplace_back(a.alias);
-    for (const std::string& n : ccs.names()) candidates.push_back(n);
+    for (const std::string& n : ccs.names())
+      if (!is_alias(n)) candidates.push_back(n);
     std::string hint = sim::closest_match(text, candidates);
-    if (ccs.find(hint) != nullptr) hint += "/droptail";
-    throw_unknown("scheme (expected a paper scheme name or 'cc/qdisc')",
-                  std::string(text), hint, candidates);
+    if (!hint.empty() && !is_alias(hint)) hint += "/droptail";
+    std::string msg =
+        "unknown scheme (expected a paper scheme name or 'cc/qdisc'): '" +
+        std::string(text) + "'";
+    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
+    std::string known = "known names:";
+    for (const std::string& c : candidates) known += " " + c;
+    throw sim::ConfigError(msg, known);
   }
 
   const std::string cc(text.substr(0, slash));
@@ -124,16 +121,11 @@ SchemeSpec parse_scheme_spec(std::string_view text) {
   }
   const std::string qdisc(rest);
 
-  const tcp::CcInfo* ci = ccs.find(cc);
-  if (ci == nullptr)
-    throw_unknown("congestion-control module", cc,
-                  sim::closest_match(cc, ccs.names()), ccs.names());
-  const net::QdiscInfo* qi = qds.find(qdisc);
-  if (qi == nullptr)
-    throw_unknown("queue discipline", qdisc,
-                  sim::closest_match(qdisc, qds.names()), qds.names());
-
-  const bool default_ecn = ci->wants_ecn || qi->marks_ecn;
+  // Look both halves up before reading either flag: `||` would skip the
+  // discipline's lookup for an ECN-wanting module.
+  const tcp::CcInfo& ci = ccs.at(cc);
+  const net::QdiscInfo& qi = qds.at(qdisc);
+  const bool default_ecn = ci.wants_ecn || qi.marks_ecn;
   const bool ecn = ecn_forced ? ecn_value : default_ecn;
   return SchemeSpec{explicit_spec(cc, qdisc, ecn, default_ecn), cc, qdisc,
                     ecn};

@@ -53,12 +53,13 @@ std::span<const SchemeAlias> scheme_aliases() noexcept;
 /// Registers every in-tree congestion-control module and queue discipline
 /// (idempotent; thread-safe). Called by the topology builders and the
 /// scheme parser before their first registry lookup — out-of-tree modules
-/// using CcRegistrar/QdiscRegistrar are independent of it.
+/// using sim::Registrar are independent of it.
 void ensure_scheme_modules();
 
-/// Throws sim::ConfigError naming `component` unless both halves of `s` are
-/// registered, with a did-you-mean hint for the first unknown half. The
-/// topology configs call it from validate().
+/// Throws sim::ConfigError unless both halves of `s` are registered: the
+/// registry's unknown-name error for the first unknown half, with
+/// "<component>: " prefixed to what(). The topology configs call it from
+/// validate().
 void require_registered(const SchemeSpec& s, std::string_view component);
 
 /// Prints the scheme vocabulary to stdout: the registered congestion-control

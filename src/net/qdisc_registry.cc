@@ -1,8 +1,5 @@
 #include "net/qdisc_registry.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "net/avq_queue.h"
 #include "net/codel_queue.h"
 #include "net/fq_codel_queue.h"
@@ -10,8 +7,6 @@
 #include "net/pie_queue.h"
 #include "net/red_queue.h"
 #include "net/rem_queue.h"
-#include "sim/errors.h"
-#include "sim/suggest.h"
 
 namespace pert::net {
 
@@ -78,93 +73,22 @@ std::unique_ptr<Queue> make_pie(const QdiscContext& ctx) {
 
 }  // namespace
 
-QdiscRegistry& QdiscRegistry::instance() {
-  // Lazy built-in registration inside the magic static: thread-safe, exactly
-  // once, immune to static-library dead-stripping.
-  static QdiscRegistry* reg = [] {
-    auto* r = new QdiscRegistry();
-    r->add({"droptail", "tail-drop FIFO (the paper's non-AQM baseline)",
-            false, &make_droptail});
-    r->add({"red", "Random Early Detection, auto-tuned thresholds", true,
-            &make_red});
-    r->add({"pi", "PI controller on instantaneous queue length", true,
-            &make_pi});
-    r->add({"rem", "Random Exponential Marking price integrator", true,
-            &make_rem});
-    r->add({"avq", "Adaptive Virtual Queue (Kunniyur-Srikant)", true,
-            &make_avq});
-    r->add({"codel", "CoDel sojourn-time AQM (RFC 8289)", true, &make_codel});
-    r->add({"fq-codel", "per-flow CoDel with DRR fair queueing (RFC 8290)",
-            true, &make_fq_codel});
-    r->add({"pie", "PIE latency-based drop-probability AQM (RFC 8033)", true,
-            &make_pie});
-    return r;
-  }();
-  return *reg;
-}
-
-void QdiscRegistry::add(QdiscInfo info) {
-  if (info.name.empty())
-    throw sim::ConfigError("QdiscRegistry: discipline name must not be empty",
-                           "component=QdiscRegistry param=name\n");
-  if (info.make == nullptr)
-    throw sim::ConfigError(
-        "QdiscRegistry: discipline '" + info.name + "' has no factory",
-        "component=QdiscRegistry param=make name=" + info.name + "\n");
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& m : modules_)
-    if (m->name == info.name)
-      throw sim::ConfigError(
-          "QdiscRegistry: duplicate discipline name '" + info.name +
-              "' (a second registration would silently shadow the first)",
-          "component=QdiscRegistry param=name value=" + info.name + "\n");
-  modules_.push_back(std::make_unique<QdiscInfo>(std::move(info)));
-}
-
-const QdiscInfo* QdiscRegistry::find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& m : modules_)
-    if (m->name == name) return m.get();
-  return nullptr;
-}
-
-std::vector<QdiscInfo> QdiscRegistry::list() const {
-  std::vector<QdiscInfo> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& m : modules_) out.push_back(*m);
-  }
-  std::sort(out.begin(), out.end(), [](const QdiscInfo& a, const QdiscInfo& b) {
-    return a.name < b.name;
-  });
-  return out;
-}
-
-std::vector<std::string> QdiscRegistry::names() const {
-  std::vector<std::string> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& m : modules_) out.push_back(m->name);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::string QdiscRegistry::suggestion_for(const std::string& name) const {
-  return sim::closest_match(name, names());
-}
-
-std::unique_ptr<Queue> QdiscRegistry::make(const std::string& name,
-                                           const QdiscContext& ctx) const {
-  const QdiscInfo* info = find(name);
-  if (info == nullptr) {
-    std::string msg = "unknown queue discipline: '" + name + "'";
-    if (const std::string s = suggestion_for(name); !s.empty())
-      msg += " (did you mean '" + s + "'?)";
-    throw sim::ConfigError(msg, "component=QdiscRegistry param=name value=" +
-                                    name + "\n");
-  }
-  return info->make(ctx);
+void QdiscInfo::add_builtins(sim::Registry<QdiscInfo>& r) {
+  r.add({"droptail", "tail-drop FIFO (the paper's non-AQM baseline)", false,
+         &make_droptail});
+  r.add({"red", "Random Early Detection, auto-tuned thresholds", true,
+         &make_red});
+  r.add({"pi", "PI controller on instantaneous queue length", true,
+         &make_pi});
+  r.add({"rem", "Random Exponential Marking price integrator", true,
+         &make_rem});
+  r.add({"avq", "Adaptive Virtual Queue (Kunniyur-Srikant)", true,
+         &make_avq});
+  r.add({"codel", "CoDel sojourn-time AQM (RFC 8289)", true, &make_codel});
+  r.add({"fq-codel", "per-flow CoDel with DRR fair queueing (RFC 8290)", true,
+         &make_fq_codel});
+  r.add({"pie", "PIE latency-based drop-probability AQM (RFC 8033)", true,
+         &make_pie});
 }
 
 }  // namespace pert::net

@@ -1,5 +1,5 @@
-// String-keyed registry of queue disciplines, the router-side twin of
-// tcp::CcRegistry.
+// String-keyed registry of queue disciplines (sim::Registry), the
+// router-side twin of tcp::CcRegistry.
 //
 // A topology builder fills a `QdiscContext` with the link's derived
 // constants (capacity, packet rate, flow-count and RTT bounds, the target
@@ -10,20 +10,20 @@
 // PIE) call fork_rng, so DropTail/AVQ/CoDel builds leave the parent RNG
 // stream untouched, preserving every legacy seed path.
 //
-// Built-ins (droptail, red, pi, rem, avq, codel, fq-codel, pie) register
-// lazily on first instance() access; out-of-tree disciplines use a
-// file-scope QdiscRegistrar.
+// The built-ins (droptail, red, pi, rem, avq, codel, fq-codel, pie) come
+// from QdiscInfo::add_builtins on first instance() access; out-of-tree
+// disciplines use a file-scope `sim::Registrar<net::QdiscInfo>`.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "net/queue.h"
 #include "sim/random.h"
+#include "sim/registry.h"
 
 namespace pert::net {
 
@@ -48,43 +48,19 @@ struct QdiscContext {
 using QdiscFactory = std::unique_ptr<Queue> (*)(const QdiscContext& ctx);
 
 struct QdiscInfo {
+  static constexpr std::string_view kRegistry = "QdiscRegistry";
+  static constexpr std::string_view kKind = "queue discipline";
+  /// Registers the eight built-in disciplines; called once by instance().
+  static void add_builtins(sim::Registry<QdiscInfo>& r);
+
   std::string name;     ///< registry key, e.g. "codel"
   std::string summary;  ///< one line for the `schemes` listing
   bool marks_ecn = false;  ///< discipline can CE-mark (router-AQM schemes)
   QdiscFactory make = nullptr;
 };
 
-class QdiscRegistry {
- public:
-  static QdiscRegistry& instance();
-
-  /// Registers a discipline. Throws sim::ConfigError for an empty or
-  /// duplicate name or a null factory.
-  void add(QdiscInfo info);
-
-  const QdiscInfo* find(const std::string& name) const;
-  std::vector<QdiscInfo> list() const;        ///< sorted by name
-  std::vector<std::string> names() const;     ///< sorted
-  std::string suggestion_for(const std::string& name) const;
-
-  /// find() + factory; unknown names throw sim::ConfigError with a
-  /// did-you-mean suggestion when one exists.
-  std::unique_ptr<Queue> make(const std::string& name,
-                              const QdiscContext& ctx) const;
-
- private:
-  QdiscRegistry() = default;
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<QdiscInfo>> modules_;  ///< stable pointees
-};
-
-/// File-scope static self-registration for out-of-tree disciplines:
-///   static const net::QdiscRegistrar reg({"myaqm", "...", true, &make_my});
-struct QdiscRegistrar {
-  explicit QdiscRegistrar(QdiscInfo info) {
-    QdiscRegistry::instance().add(std::move(info));
-  }
-};
+/// make(name, ctx) builds a queue; an unknown name throws sim::ConfigError
+/// with a did-you-mean suggestion when one exists.
+using QdiscRegistry = sim::Registry<QdiscInfo>;
 
 }  // namespace pert::net

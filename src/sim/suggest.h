@@ -29,10 +29,12 @@ inline std::size_t edit_distance(std::string_view a, std::string_view b) {
 }
 
 /// The candidate closest to `name`, or "" when nothing is close enough to be
-/// a plausible typo (distance > max(2, |name|/3)).
+/// a plausible typo (distance > max(2, |name|/3)) or `name` is empty (every
+/// name of two letters or fewer would be "close" to it).
 inline std::string closest_match(std::string_view name,
                                  const std::vector<std::string>& candidates) {
   std::string best;
+  if (name.empty()) return best;
   std::size_t best_d = std::max<std::size_t>(2, name.size() / 3) + 1;
   for (const std::string& c : candidates) {
     const std::size_t d = edit_distance(name, c);

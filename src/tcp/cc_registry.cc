@@ -1,10 +1,5 @@
 #include "tcp/cc_registry.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "sim/suggest.h"
-#include "sim/validate.h"
 #include "tcp/cc_cubic.h"
 #include "tcp/cc_dctcp.h"
 #include "tcp/tcp_sender.h"
@@ -21,88 +16,16 @@ TcpSender* make_sack(const CcContext& ctx) {
 
 }  // namespace
 
-CcRegistry& CcRegistry::instance() {
-  // Built-ins register inside the magic-static initializer: thread-safe,
-  // exactly once, and immune to the linker dead-stripping that makes
-  // static-initializer self-registration unreliable in static libraries.
-  static CcRegistry* reg = [] {
-    auto* r = new CcRegistry();
-    r->add({"sack", "SACK loss recovery, Reno growth (the paper's baseline)",
-            false, &make_sack});
-    r->add({"vegas", "TCP Vegas delay-based avoidance (Brakmo-Peterson)",
-            false, &make_vegas_sender});
-    r->add({"cubic", "CUBIC window growth (RFC 9438), beta=0.7",
-            false, &make_cubic_sender});
-    r->add({"dctcp",
-            "DCTCP: ECN-mark-fraction proportional reduction (alpha EWMA)",
-            true, &make_dctcp_sender});
-    return r;
-  }();
-  return *reg;
-}
-
-void CcRegistry::add(CcInfo info) {
-  if (info.name.empty())
-    throw sim::ConfigError("CcRegistry: module name must not be empty",
-                           "component=CcRegistry param=name\n");
-  if (info.make == nullptr)
-    throw sim::ConfigError(
-        "CcRegistry: module '" + info.name + "' has no factory",
-        "component=CcRegistry param=make name=" + info.name + "\n");
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& m : modules_)
-    if (m->name == info.name)
-      throw sim::ConfigError(
-          "CcRegistry: duplicate module name '" + info.name +
-              "' (a second registration would silently shadow the first)",
-          "component=CcRegistry param=name value=" + info.name + "\n");
-  modules_.push_back(std::make_unique<CcInfo>(std::move(info)));
-}
-
-const CcInfo* CcRegistry::find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& m : modules_)
-    if (m->name == name) return m.get();
-  return nullptr;
-}
-
-std::vector<CcInfo> CcRegistry::list() const {
-  std::vector<CcInfo> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& m : modules_) out.push_back(*m);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CcInfo& a, const CcInfo& b) { return a.name < b.name; });
-  return out;
-}
-
-std::vector<std::string> CcRegistry::names() const {
-  std::vector<std::string> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& m : modules_) out.push_back(m->name);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::string CcRegistry::suggestion_for(const std::string& name) const {
-  return sim::closest_match(name, names());
-}
-
-TcpSender* CcRegistry::make(const std::string& name,
-                            const CcContext& ctx) const {
-  const CcInfo* info = find(name);
-  if (info == nullptr) {
-    std::string msg = "unknown congestion-control module: '" + name + "'";
-    if (const std::string s = suggestion_for(name); !s.empty())
-      msg += " (did you mean '" + s + "'?)";
-    throw sim::ConfigError(msg,
-                           "component=CcRegistry param=name value=" + name +
-                               "\n");
-  }
-  return info->make(ctx);
+void CcInfo::add_builtins(sim::Registry<CcInfo>& r) {
+  r.add({"sack", "SACK loss recovery, Reno growth (the paper's baseline)",
+         false, &make_sack});
+  r.add({"vegas", "TCP Vegas delay-based avoidance (Brakmo-Peterson)", false,
+         &make_vegas_sender});
+  r.add({"cubic", "CUBIC window growth (RFC 9438), beta=0.7", false,
+         &make_cubic_sender});
+  r.add({"dctcp",
+         "DCTCP: ECN-mark-fraction proportional reduction (alpha EWMA)", true,
+         &make_dctcp_sender});
 }
 
 }  // namespace pert::tcp

@@ -1,4 +1,4 @@
-// String-keyed registry of congestion-control modules.
+// String-keyed registry of congestion-control modules (sim::Registry).
 //
 // A module registers a `CcInfo` — name, one-line summary, ECN preference,
 // and a factory building a started-ready sender from a `CcContext` — and
@@ -8,22 +8,18 @@
 // RTT bound, target delay) so a module's controller design sees exactly the
 // numbers the hard-wired switch used to compute.
 //
-// Registration happens two ways:
-//   - built-in modules (sack, vegas, cubic, dctcp + the PERT family via
-//     core::register_pert_cc_modules) are registered lazily on first
-//     instance() access, which is immune to static-library dead-stripping;
-//   - out-of-tree modules use a file-scope `CcRegistrar` (static
-//     self-registration) in their own TU.
-// Duplicate names are a sim::ConfigError — silently shadowing a scheme
-// would corrupt every comparison that names it.
+// The built-ins sack, vegas, cubic and dctcp come from CcInfo::add_builtins
+// on first instance() access. The PERT family lives in core/ (tcp/ cannot
+// depend on core/) and is added by core::register_pert_cc_modules through
+// exp::ensure_scheme_modules(). Out-of-tree modules use a file-scope
+// `sim::Registrar<tcp::CcInfo>` in their own TU.
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "net/network.h"
+#include "sim/registry.h"
 #include "tcp/tcp_config.h"
 
 namespace pert::tcp {
@@ -58,6 +54,11 @@ struct CcContext {
 using CcFactory = TcpSender* (*)(const CcContext& ctx);
 
 struct CcInfo {
+  static constexpr std::string_view kRegistry = "CcRegistry";
+  static constexpr std::string_view kKind = "congestion-control module";
+  /// Registers sack, vegas, cubic and dctcp; called once by instance().
+  static void add_builtins(sim::Registry<CcInfo>& r);
+
   std::string name;     ///< registry key, e.g. "cubic"
   std::string summary;  ///< one line for the `schemes` listing
   /// Module wants ECN-capable transport by default (DCTCP); a scheme spec
@@ -66,45 +67,8 @@ struct CcInfo {
   CcFactory make = nullptr;
 };
 
-class CcRegistry {
- public:
-  /// The process-wide registry; built-ins are registered on first access.
-  static CcRegistry& instance();
-
-  /// Registers a module. Throws sim::ConfigError for an empty/duplicate
-  /// name or a null factory.
-  void add(CcInfo info);
-
-  /// Looks up a module; nullptr when unknown. The pointee is stable (the
-  /// registry only grows).
-  const CcInfo* find(const std::string& name) const;
-
-  /// All registered modules, sorted by name.
-  std::vector<CcInfo> list() const;
-
-  /// Registered names, sorted (did-you-mean candidate set).
-  std::vector<std::string> names() const;
-
-  /// The closest registered name to `name`, or "" when none is plausible.
-  std::string suggestion_for(const std::string& name) const;
-
-  /// find() + factory call; unknown names throw sim::ConfigError with a
-  /// did-you-mean suggestion when one exists.
-  TcpSender* make(const std::string& name, const CcContext& ctx) const;
-
- private:
-  CcRegistry() = default;
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<CcInfo>> modules_;  ///< stable pointees
-};
-
-/// File-scope static self-registration:
-///   static const tcp::CcRegistrar reg({"mycc", "...", false, &make_mycc});
-struct CcRegistrar {
-  explicit CcRegistrar(CcInfo info) {
-    CcRegistry::instance().add(std::move(info));
-  }
-};
+/// make(name, ctx) builds a sender; an unknown name throws sim::ConfigError
+/// with a did-you-mean suggestion when one exists.
+using CcRegistry = sim::Registry<CcInfo>;
 
 }  // namespace pert::tcp

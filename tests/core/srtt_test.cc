@@ -66,15 +66,6 @@ TEST(Srtt, SmoothsSpikesLikeRedAvgQueue) {
   EXPECT_LT(e.queueing_delay(), 0.010);
 }
 
-TEST(Srtt, ResetClearsState) {
-  SrttEstimator e;
-  e.add_sample(0.1);
-  e.reset();
-  EXPECT_FALSE(e.ready());
-  e.add_sample(0.5);
-  EXPECT_DOUBLE_EQ(e.prop_delay(), 0.5);
-}
-
 TEST(Srtt, RiseTimeMatchesEwmaTimeConstant) {
   // After n samples of a step, srtt covers 1 - alpha^n of the step.
   SrttEstimator e(0.99);

@@ -107,29 +107,36 @@ TEST(SchemeSpec, ParseSchemeListKeepsOrder) {
   EXPECT_THROW(parse_scheme_list("pert,"), sim::ConfigError);
 }
 
+/// what() of the ConfigError parse_scheme_spec throws for `text`.
+std::string parse_error(const std::string& text) {
+  try {
+    parse_scheme_spec(text);
+  } catch (const sim::ConfigError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "'" << text << "' must not parse";
+  return "";
+}
+
 TEST(SchemeSpec, UnknownNamesThrowWithDidYouMean) {
-  try {
-    parse_scheme_spec("pertt");
-    FAIL() << "unknown scheme must throw";
-  } catch (const sim::ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("pert"), std::string::npos);
-  }
-  try {
-    parse_scheme_spec("cubic/codell");
-    FAIL() << "unknown qdisc must throw";
-  } catch (const sim::ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("codel"), std::string::npos);
-  }
-  try {
-    parse_scheme_spec("cubic");
-    FAIL() << "a bare module name must throw";
-  } catch (const sim::ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("did you mean 'cubic/droptail'"),
-              std::string::npos)
-        << e.what();
-  }
+  // An alias typo gets the alias; a bare module name that is no alias gets
+  // its droptail spec; dctcp's ECN default must not skip the qdisc lookup.
+  const std::pair<const char*, const char*> hints[] = {
+      {"pertt", "(did you mean 'pert'?)"},
+      {"vegass", "(did you mean 'vegas'?)"},
+      {"sackk", "(did you mean 'sack'?)"},
+      {"cubic", "(did you mean 'cubic/droptail'?)"},
+      {"cubic/codell", "(did you mean 'codel'?)"},
+      {"dctcp/redd", "(did you mean 'red'?)"},
+  };
+  for (const auto& [text, hint] : hints)
+    EXPECT_NE(parse_error(text).find(hint), std::string::npos)
+        << text << ": " << parse_error(text);
+  // An empty name is no typo of a short one.
+  for (const char* text : {"cubic/", "/red", ""})
+    EXPECT_EQ(parse_error(text).find("did you mean"), std::string::npos)
+        << text << ": " << parse_error(text);
   EXPECT_THROW(parse_scheme_spec("nosuchcc/droptail"), sim::ConfigError);
-  EXPECT_THROW(parse_scheme_spec(""), sim::ConfigError);
 }
 
 TEST(SchemeSpec, ParsedSpecReproducesEnumRunBitForBit) {
@@ -180,11 +187,28 @@ TEST(SchemeSpec, FreeFormComboRunsEndToEnd) {
 }
 
 TEST(SchemeSpec, ValidateRejectsUnknownModulesWithSuggestion) {
-  DumbbellConfig cfg;
-  cfg.scheme = SchemeSpec("typo", "cubbic", "droptail", false);
-  EXPECT_THROW(cfg.validate(), sim::ConfigError);
-  cfg.scheme = SchemeSpec("typo", "cubic", "coddel", false);
-  EXPECT_THROW(cfg.validate(), sim::ConfigError);
+  // The registry's own message, prefixed by the config that holds the spec.
+  const struct {
+    SchemeSpec spec;
+    const char* what;
+  } cases[] = {
+      {SchemeSpec("typo", "cubbic", "droptail", false),
+       "DumbbellConfig: unknown congestion-control module: 'cubbic' (did you "
+       "mean 'cubic'?)"},
+      {SchemeSpec("typo", "cubic", "coddel", false),
+       "DumbbellConfig: unknown queue discipline: 'coddel' (did you mean "
+       "'codel'?)"},
+  };
+  for (const auto& c : cases) {
+    DumbbellConfig cfg;
+    cfg.scheme = c.spec;
+    try {
+      cfg.validate();
+      ADD_FAILURE() << c.what << ": validate() must throw";
+    } catch (const sim::ConfigError& e) {
+      EXPECT_STREQ(e.what(), c.what);
+    }
+  }
 }
 
 TEST(SchemeSpec, MultiBottleneckValidateSuggestsToo) {
